@@ -46,7 +46,7 @@ for name in ("L", "circ-left"):
         print(f"  {m:+d}  {dist.probs[m]:.4f}  {bar}")
 
 # --- trust but verify ---------------------------------------------------------
-# The sparse evolution must agree with an explicit matrix-product simulation.
+# The array evolution must agree with an explicit matrix-product simulation.
 rng = np.random.default_rng(1)
 sched = CoinSchedule(4, {k: rng.uniform(0, 1) for k in CoinSchedule.constant(4).sorted_keys()})
 v = NAMED_COIN_VECTORS["circ-right"]

@@ -120,9 +120,8 @@ def quantize_schedule(
     schedule: CoinSchedule, hwp_resolution_deg: float = DEFAULT_HWP_RESOLUTION_DEG
 ) -> CoinSchedule:
     """Quantize every ratio of a schedule to the wave-plate grid."""
-    return CoinSchedule(
-        schedule.steps,
-        {key: quantize_ratio(r, hwp_resolution_deg) for key, r in schedule.ratios.items()},
+    return schedule.with_array(
+        [quantize_ratio(r, hwp_resolution_deg) for r in schedule.values.tolist()]
     )
 
 

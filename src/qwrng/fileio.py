@@ -29,8 +29,8 @@ _STEPS_RE = re.compile(r"^steps=(\d+)$")
 
 def schedule_to_text(schedule: CoinSchedule) -> str:
     lines = [f"steps={schedule.steps}"]
-    for (t, m) in schedule.sorted_keys():
-        lines.append(f"{t},{m},{format_float(schedule.ratios[(t, m)])}")
+    for (t, m), r in zip(schedule.sorted_keys(), schedule.values.tolist()):
+        lines.append(f"{t},{m},{format_float(r)}")
     return "\n".join(lines) + "\n"
 
 
@@ -70,8 +70,8 @@ def read_schedule(path: str | Path) -> CoinSchedule:
 
 def distribution_to_text(dist: Distribution) -> str:
     lines = [CSV_HEADER]
-    for m in dist.support():
-        lines.append(f"{m},{format_float(dist.probs[m])}")
+    for m, p in zip(dist.support(), dist.values.tolist()):
+        lines.append(f"{m},{format_float(p)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,45 +1,45 @@
 """Gradient-descent training of coin schedules toward a target distribution.
 
 The loss is half the summed squared error between the measured and target
-probabilities.  Its gradient with respect to every coin bias ratio is
-computed in one reverse (adjoint) sweep through the coin/shift layers: the
+probabilities.  Its exact gradient with respect to every coin bias ratio
+comes from one reverse (adjoint) sweep through the coin/shift layers: the
 evolution is linear with real coefficients, so the real and imaginary parts
 of the amplitudes backpropagate through the transposed layers independently.
-The result matches central finite differences of the loss to O(h^2) and is
-exercised against that oracle in the tests.
+
+:func:`train` keeps the ratios as one flat array: each iteration is one
+forward pass keeping every state, loss, fidelity and stop check, then one
+adjoint sweep over the kept states and the clamped update.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .walk import (
-    CoinSchedule,
-    Distribution,
-    WalkState,
-    coin_from_ratio,
-    measure,
-    reachable_positions,
-    run_walk,
-    step,
-)
+from .walk import CoinSchedule, Distribution, WalkState, _coin, _forward
 
 
-def _check_same_support(y: Distribution, target: Distribution) -> None:
+def _check_same_support(y, target: Distribution) -> None:
     if y.steps != target.steps:
         raise ValueError(
             f"distributions have different supports ({y.steps} vs {target.steps} steps)"
         )
 
 
+def _mse(p: np.ndarray, t: np.ndarray) -> float:
+    return 0.5 * float(np.sum((t - p) ** 2))
+
+
+def _fidelity(y: np.ndarray, t: np.ndarray) -> float:
+    return float(np.sum(y * t)) / float(np.sum(np.maximum(y, t) ** 2))
+
+
 def mse_loss(output: Distribution, target: Distribution) -> float:
     """Half the summed squared probability error; zero iff the two agree."""
     _check_same_support(output, target)
-    return 0.5 * float(np.sum((target.as_array() - output.as_array()) ** 2))
+    return _mse(output.values, target.values)
 
 
 def fidelity(y: Distribution, target: Distribution) -> float:
@@ -49,70 +49,45 @@ def fidelity(y: Distribution, target: Distribution) -> float:
     masses never overlap.  Symmetric in its arguments.
     """
     _check_same_support(y, target)
-    ya = y.as_array()
-    ta = target.as_array()
-    num = float(np.sum(ya * ta))
-    den = float(np.sum(np.maximum(ya, ta) ** 2))
-    return num / den
+    return _fidelity(y.values, target.values)
 
 
-def _coin_derivative(ratio: float) -> np.ndarray:
-    """Entrywise derivative of the biased coin with respect to its ratio.
+def _gradient(forward, residual: np.ndarray) -> np.ndarray:
+    """Adjoint sweep over a forward pass: d(loss)/d(ratio) in sorted-key order.
 
-    The true one-sided slope of sqrt at 0 is unbounded; at the exact
-    endpoints the diverging term is replaced by 0 so training that clamps a
-    ratio onto the boundary keeps a finite gradient and can still move back
-    inside.  Interior values are exact.
+    ``residual`` is output minus target probability.  Each step back undoes
+    the shift and applies the (symmetric) coin.  At r = 0 (1) the unbounded
+    slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio clamped onto
+    the boundary keeps a finite gradient.
     """
-    d_sr = 0.5 / math.sqrt(ratio) if ratio > 0.0 else 0.0
-    d_sq = -0.5 / math.sqrt(1.0 - ratio) if ratio < 1.0 else 0.0
-    return np.array([[d_sr, d_sq], [d_sq, -d_sr]], dtype=np.complex128)
+    sr, sq, left, right = forward
+    count, steps = sr.size, residual.size - 1
+    adj_l, adj_r = np.zeros_like(left), np.zeros_like(right)
+    adj_l[:, count:] = 2.0 * residual * left[:, count:]
+    adj_r[:, count:] = 2.0 * residual * right[:, count:]
+    end = count
+    for t in range(steps, 0, -1):
+        start = end - t
+        adj_l[:, start:end], adj_r[:, start:end] = _coin(
+            sr[start:end], sq[start:end], adj_l[:, end : end + t], adj_r[:, end + 1 : end + t + 1]
+        )
+        end = start
+    # the adjoint after the coin of entry k of step t sits at k + t (L), k + t + 1 (R)
+    after = np.arange(count) + np.repeat(np.arange(1, steps + 1), np.arange(1, steps + 1))
+    lam_l, lam_r = adj_l[:, after], adj_r[:, after + 1]
+    psi_l, psi_r = left[:, :count], right[:, :count]
+    d_sr = np.divide(0.5, sr, out=np.zeros_like(sr), where=sr > 0.0)
+    d_sq = np.divide(-0.5, sq, out=np.zeros_like(sq), where=sq > 0.0)
+    return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(0)
 
 
 def loss_gradient(
     schedule: CoinSchedule, initial: WalkState, target: Distribution
 ) -> dict[tuple[int, int], float]:
-    """Exact partial derivatives of the loss for every schedule entry.
-
-    Forward pass records the state before each step; the backward pass
-    carries the loss gradient with respect to the amplitudes (as one complex
-    number per slot holding d/d(re) + i*d/d(im)) through the transposed
-    shift and coin layers, and contracts it with the coin derivative at each
-    position to read off d(loss)/d(ratio).
-    """
-    n = schedule.steps
-    states = [initial]
-    state = initial
-    for t in range(1, n + 1):
-        state = step(state, schedule.step_ratios(t))
-        states.append(state)
-
-    output = measure(state)
-    _check_same_support(output, target)
-
-    # Loss gradient at the final amplitudes: 2 * (P_m - T_m) * amplitude.
-    adj: dict[int, np.ndarray] = {}
-    for pos, amp in state.amplitudes.items():
-        adj[pos] = 2.0 * (output.probs[pos] - target.probs[pos]) * amp
-
-    grad: dict[tuple[int, int], float] = {}
-    zero = np.zeros(2, dtype=np.complex128)
-    for t in range(n, 0, -1):
-        before = states[t - 1]
-        ratios = schedule.step_ratios(t)
-        adj_prev: dict[int, np.ndarray] = {}
-        for m in reachable_positions(t):
-            # Undo the shift: the L slot at m came from m-1, the R slot from m+1.
-            lam = np.array(
-                [adj.get(m - 1, zero)[0], adj.get(m + 1, zero)[1]],
-                dtype=np.complex128,
-            )
-            psi = before.amplitudes.get(m, zero)
-            grad[(t, m)] = float(np.real(np.vdot(lam, _coin_derivative(ratios[m]) @ psi)))
-            # The biased coin is symmetric, so its transpose is itself.
-            adj_prev[m] = coin_from_ratio(ratios[m]) @ lam
-        adj = adj_prev
-    return {key: grad[key] for key in schedule.sorted_keys()}
+    """Exact partial derivatives of the loss for every schedule entry."""
+    _check_same_support(schedule, target)
+    forward, probs = _forward(schedule.values, schedule.steps, initial)
+    return dict(zip(schedule.sorted_keys(), _gradient(forward, probs - target.values).tolist()))
 
 
 def apply_update(
@@ -128,12 +103,8 @@ def apply_update(
         raise ValueError(f"clamp margin must lie in [0, 0.5), got {clamp_margin}")
     if set(grad) != set(schedule.ratios):
         raise ValueError("gradient key set does not match the schedule")
-    lo, hi = clamp_margin, 1.0 - clamp_margin
-    updated = {
-        key: min(hi, max(lo, schedule.ratios[key] - eta * grad[key]))
-        for key in schedule.sorted_keys()
-    }
-    return CoinSchedule(schedule.steps, updated)
+    g = np.array([grad[key] for key in schedule.sorted_keys()], dtype=np.float64)
+    return schedule.with_array(np.clip(schedule.values - eta * g, clamp_margin, 1 - clamp_margin))
 
 
 @dataclass(frozen=True)
@@ -209,26 +180,22 @@ def train(
     """
     if target.steps < 1:
         raise ValueError("training needs a target over at least one step")
-    schedule = _initial_schedule(target.steps, config)
+    steps, goal = target.steps, target.values
+    ratios = _initial_schedule(steps, config).values
     trace: list[tuple[int, float, float]] = []
-    converged = False
     k = 0
     while True:
-        output = measure(run_walk(initial, schedule))
-        current_loss = mse_loss(output, target)
-        current_fid = fidelity(output, target)
-        trace.append((k, current_loss, current_fid))
-        if current_fid >= config.fidelity_goal or current_loss <= config.loss_tol:
-            converged = True
+        forward, probs = _forward(ratios, steps, initial)
+        loss, fid = _mse(probs, goal), _fidelity(probs, goal)
+        trace.append((k, loss, fid))
+        converged = fid >= config.fidelity_goal or loss <= config.loss_tol
+        if converged or k == config.max_iters:
             break
-        if k == config.max_iters:
-            break
-        grad = loss_gradient(schedule, initial, target)
-        schedule = apply_update(schedule, grad, config.eta, config.clamp_margin)
+        step = config.eta * _gradient(forward, probs - goal)
+        ratios = np.clip(ratios - step, config.clamp_margin, 1.0 - config.clamp_margin)
         k += 1
-    return TrainReport(
-        iterations=trace, final_schedule=schedule, converged=converged, output=output
-    )
+    schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)
+    return TrainReport(trace, schedule, converged, output)
 
 
 def train_multi_start(

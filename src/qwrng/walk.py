@@ -8,18 +8,21 @@ by a three-phase rotation (:func:`coin_matrix`) or by a single bias ratio
 ``r`` (:func:`coin_from_ratio`), where ``r = cos^2(theta)`` and ``r = 0.5``
 gives the Hadamard coin.
 
-States are stored sparsely, keyed by occupied position, so the parity and
-support invariants of the walk (after ``n`` steps from the origin only sites
-``x`` with ``|x| <= n`` and ``x == n (mod 2)`` can be occupied) hold by
-construction.  All functions here are pure; every value is treated as
-immutable once built.
+After ``t`` steps only the sites ``-t, -t+2, ..., t`` can be occupied.  A
+state holds one float64 slot array of shape ``(2, t + 1)`` per coin
+component, real and imaginary rows (the coins are real, so the parts evolve
+independently).  The coin layer is four vectorized multiply-adds with
+``sqrt(r)`` and ``sqrt(1 - r)``; the shift appends a zero slot to L and
+prepends one to R.  Schedules and distributions are flat float64 arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -105,101 +108,121 @@ def support_positions(steps: int) -> list[int]:
     return list(range(-steps, steps + 1, 2))
 
 
-def reachable_positions(step_index: int) -> list[int]:
-    """Positions that can be occupied just before step ``step_index`` runs.
-
-    Step indices start at 1, so the first step sees only the origin.
-    """
-    if step_index < 1:
-        raise ValueError(f"step index must be >= 1, got {step_index}")
-    return list(range(-(step_index - 1), step_index, 2))
-
-
 def schedule_keys(steps: int) -> list[tuple[int, int]]:
-    """All (step, position) pairs a schedule for ``steps`` steps must cover."""
-    return [(t, m) for t in range(1, steps + 1) for m in reachable_positions(t)]
+    """All (step, position) pairs a schedule for ``steps`` steps must cover:
+    step ``t`` (1-based) covers the sites reachable after ``t - 1`` steps."""
+    return [(t, m) for t in range(1, steps + 1) for m in support_positions(t - 1)]
 
 
-@dataclass(frozen=True)
+def _triangle(steps: int) -> int:
+    """Entries of a ``steps``-step schedule; step ``t`` starts at ``_triangle(t - 1)``."""
+    return steps * (steps + 1) // 2
+
+
+def _frozen_array(values: Iterable[float], count: int, what: str, hi: float):
+    """Read-only float64 copy of ``values``, which must hold ``count`` entries,
+    and the index of its first entry that is NaN or outside ``[0, hi]``."""
+    arr = np.array(list(values) if isinstance(values, Iterator) else values, dtype=np.float64)
+    if arr.shape != (count,):
+        raise ValueError(f"expected {count} {what}, got {arr.size}")
+    arr.flags.writeable = False
+    bad = np.flatnonzero(~((arr >= 0.0) & (arr <= hi)))
+    return arr, (int(bad[0]) if bad.size else None)
+
+
 class CoinSchedule:
-    """Grid of coin bias ratios, one per (step, position) pair.
+    """Trainable grid of ``n*(n+1)/2`` coin bias ratios, one per (step, position).
 
-    The key set is fixed by the walk geometry: step ``t`` (1-based) covers
-    exactly the ``t`` positions reachable before it runs, so an ``n``-step
-    schedule has ``n*(n+1)/2`` entries.  This grid is the trainable
-    parameter set.
+    ``ratios`` is a mapping keyed by (step, position) or a flat sequence in
+    sorted-key order, held as the read-only float64 array ``values``; the
+    ratios of step ``t`` start at offset ``t*(t-1)/2``.
     """
 
-    steps: int
-    ratios: dict[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
-        expected = schedule_keys(self.steps)
-        got = set(self.ratios)
-        if got != set(expected):
-            missing = sorted(set(expected) - got)
-            extra = sorted(got - set(expected))
-            raise ValueError(
-                f"schedule key set does not match a {self.steps}-step walk"
-                f" (missing {missing[:4]}{'...' if len(missing) > 4 else ''},"
-                f" unexpected {extra[:4]}{'...' if len(extra) > 4 else ''})"
-            )
-        clean: dict[tuple[int, int], float] = {}
-        for key in expected:
-            r = float(self.ratios[key])
-            if not (0.0 <= r <= 1.0):
-                raise ValueError(f"ratio at (step, position) {key} is {r}, outside [0, 1]")
-            clean[key] = r
-        object.__setattr__(self, "ratios", clean)
+    def __init__(self, steps: int, ratios: Mapping | Iterable[float]) -> None:
+        if steps < 0:
+            raise ValueError(f"steps must be non-negative, got {steps}")
+        if isinstance(ratios, Mapping):
+            expected = schedule_keys(steps)
+            keys, want = set(ratios), set(expected)
+            if keys != want:
+                missing, extra = sorted(want - keys), sorted(keys - want)
+                raise ValueError(
+                    f"schedule key set does not match a {steps}-step walk"
+                    f" (missing {missing[:4]}{'...' if len(missing) > 4 else ''},"
+                    f" unexpected {extra[:4]}{'...' if len(extra) > 4 else ''})"
+                )
+            ratios = [ratios[key] for key in expected]
+        values, bad = _frozen_array(ratios, _triangle(steps), "ratios", 1.0)
+        if bad is not None:
+            key, r = schedule_keys(steps)[bad], float(values[bad])
+            raise ValueError(f"ratio at (step, position) {key} is {r}, outside [0, 1]")
+        self.steps, self.values = steps, values
 
     @classmethod
     def constant(cls, steps: int, ratio: float = 0.5) -> "CoinSchedule":
         """Schedule with every entry set to ``ratio``."""
-        return cls(steps, {key: ratio for key in schedule_keys(steps)})
+        return cls(steps, np.full(_triangle(steps), ratio, dtype=np.float64))
 
     @classmethod
     def random(cls, steps: int, seed: int) -> "CoinSchedule":
         """Schedule with independent uniform ratios drawn from a seeded PRNG."""
         rng = np.random.default_rng(np.random.PCG64(seed))
-        return cls(steps, {key: float(rng.uniform(0.0, 1.0)) for key in schedule_keys(steps)})
+        return cls(steps, rng.uniform(0.0, 1.0, _triangle(steps)))
+
+    @cached_property
+    def ratios(self) -> Mapping[tuple[int, int], float]:
+        """Read-only view: (step, position) -> ratio."""
+        return MappingProxyType(dict(zip(schedule_keys(self.steps), self.values.tolist())))
 
     def step_ratios(self, step_index: int) -> dict[int, float]:
         """Ratios for one step, keyed by position."""
-        return {m: self.ratios[(step_index, m)] for m in reachable_positions(step_index)}
+        return {m: self.ratios[(step_index, m)] for m in support_positions(step_index - 1)}
 
     def sorted_keys(self) -> list[tuple[int, int]]:
         return schedule_keys(self.steps)
 
     def to_array(self) -> np.ndarray:
-        """Ratios flattened in sorted (step, position) order."""
-        return np.array([self.ratios[key] for key in self.sorted_keys()])
+        """Ratios flattened in sorted (step, position) order (a writable copy)."""
+        return self.values.copy()
 
     def with_array(self, values: Iterable[float]) -> "CoinSchedule":
         """New schedule with ratios replaced from a flat array (sorted-key order)."""
-        vals = list(values)
-        keys = self.sorted_keys()
-        if len(vals) != len(keys):
-            raise ValueError(f"expected {len(keys)} ratios, got {len(vals)}")
-        return CoinSchedule(self.steps, dict(zip(keys, map(float, vals))))
+        return CoinSchedule(self.steps, values)
+
+    def __repr__(self) -> str:
+        return f"CoinSchedule(steps={self.steps}, ratios={dict(self.ratios)!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class WalkState:
-    """Sparse walker state: occupied position -> (c_L, c_R) amplitudes."""
+    """Walker state after ``step`` steps: the slot arrays ``left`` and ``right``.
 
-    step: int
-    amplitudes: dict[int, np.ndarray]
+    ``amplitudes`` maps occupied positions to complex ``(c_L, c_R)`` pairs
+    (a read-only view); the constructor also takes the pair of slot arrays.
+    """
+
+    def __init__(self, step: int, amplitudes: Mapping | tuple[np.ndarray, np.ndarray]) -> None:
+        if isinstance(amplitudes, Mapping):
+            off = sorted(set(amplitudes) - set(support_positions(step)))
+            if off:
+                raise ValueError(f"positions {off} are not reachable after {step} steps")
+            amp = np.zeros((2, step + 1), dtype=np.complex128)
+            for pos, pair in amplitudes.items():
+                amp[:, (pos + step) // 2] = pair
+            amplitudes = np.array([amp.real, amp.imag]).swapaxes(0, 1)
+        self.step, (self.left, self.right) = step, amplitudes
+
+    @cached_property
+    def amplitudes(self) -> Mapping[int, np.ndarray]:
+        parts = np.stack([self.left, self.right], axis=-1)  # (re/im, site, L/R)
+        pairs = zip(support_positions(self.step), parts[0] + 1j * parts[1])
+        return MappingProxyType({m: pair for m, pair in pairs if pair.any()})
 
     def positions(self) -> list[int]:
-        return sorted(self.amplitudes)
+        """Occupied positions, ascending."""
+        return list(self.amplitudes)
 
     def norm(self) -> float:
-        total = 0.0
-        for amp in self.amplitudes.values():
-            total += float(np.abs(amp[0]) ** 2 + np.abs(amp[1]) ** 2)
-        return math.sqrt(total)
+        return math.sqrt(float(_probs(self.left, self.right).sum()))
 
 
 def initial_state(coin_vector: Iterable[complex]) -> WalkState:
@@ -217,7 +240,39 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
     sq = float(np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2)
     if abs(sq - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"coin vector is not normalized: |v|^2 = {sq!r}")
-    return WalkState(step=0, amplitudes={0: vec.copy()})
+    return WalkState(step=0, amplitudes={0: vec})
+
+
+def _coin(sr: np.ndarray, sq: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """The biased coin ``[[sr, sq], [sq, -sr]]`` (its own transpose), slot by slot."""
+    return sr * left + sq * right, sq * left - sr * right
+
+
+def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-slot probability |c_L|^2 + |c_R|^2."""
+    return (left * left).sum(0) + (right * right).sum(0)
+
+
+def _forward(values: np.ndarray, steps: int, initial: WalkState):
+    """Walk a flat ratio array from the origin; return ``(sqrt(r), sqrt(1-r),
+    L, R)`` and the output probabilities.  In the L and R buffers the state
+    before step ``t`` sits at that step's ratio offset, the final state at
+    offset ``values.size``."""
+    if initial.step != 0 or initial.positions() != [0]:
+        raise ValueError("the walk requires a step-0 state located at the origin")
+    sr, sq = np.sqrt(values), np.sqrt(1.0 - values)
+    size = _triangle(steps + 1)
+    left, right = np.zeros((2, size)), np.zeros((2, size))
+    left[:, :1], right[:, :1] = initial.left, initial.right
+    start = 0
+    for t in range(1, steps + 1):
+        end = start + t
+        # the coin's L output keeps its slot index, its R output moves up one
+        left[:, end : end + t], right[:, end + 1 : end + t + 1] = _coin(
+            sr[start:end], sq[start:end], left[:, start:end], right[:, start:end]
+        )
+        start = end
+    return (sr, sq, left, right), _probs(left[:, start:], right[:, start:])
 
 
 def apply_coin_layer(state: WalkState, ratios: Mapping[int, float]) -> WalkState:
@@ -226,36 +281,22 @@ def apply_coin_layer(state: WalkState, ratios: Mapping[int, float]) -> WalkState
     ``ratios`` must define a bias for each occupied position; extra entries
     are ignored.  The step counter is unchanged and the norm is preserved.
     """
-    new_amps: dict[int, np.ndarray] = {}
+    r = np.ones(state.step + 1)  # empty slots stay zero under any coin
     for pos in state.positions():
         if pos not in ratios:
             raise ValueError(f"no coin ratio for occupied position {pos}")
-        new_amps[pos] = coin_from_ratio(ratios[pos]) @ state.amplitudes[pos]
-    return WalkState(step=state.step, amplitudes=new_amps)
+        if not (0.0 <= ratios[pos] <= 1.0):
+            raise ValueError(f"coin bias ratio must lie in [0, 1], got {ratios[pos]}")
+        r[(pos + state.step) // 2] = ratios[pos]
+    return WalkState(state.step, _coin(np.sqrt(r), np.sqrt(1.0 - r), state.left, state.right))
 
 
 def apply_shift(state: WalkState) -> WalkState:
-    """Move every L component one site left and every R component one right.
-
-    This is a pure relabeling: each target slot receives exactly one
-    contribution, so no interference happens here and the norm is exactly
-    preserved.  The step counter advances by one.
-    """
-    moved: dict[int, np.ndarray] = {}
-
-    def slot(pos: int) -> np.ndarray:
-        if pos not in moved:
-            moved[pos] = np.zeros(2, dtype=np.complex128)
-        return moved[pos]
-
-    for pos in state.positions():
-        amp = state.amplitudes[pos]
-        if amp[0] != 0:
-            slot(pos - 1)[0] = amp[0]
-        if amp[1] != 0:
-            slot(pos + 1)[1] = amp[1]
-    ordered = {pos: moved[pos] for pos in sorted(moved)}
-    return WalkState(step=state.step + 1, amplitudes=ordered)
+    """Move every L component one site left and every R component one right:
+    a pure relabeling that preserves the norm exactly.  The step advances."""
+    zero = np.zeros((2, 1))
+    shifted = np.hstack([state.left, zero]), np.hstack([zero, state.right])
+    return WalkState(state.step + 1, shifted)
 
 
 def step(state: WalkState, ratios: Mapping[int, float]) -> WalkState:
@@ -265,63 +306,53 @@ def step(state: WalkState, ratios: Mapping[int, float]) -> WalkState:
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:
     """Evolve an origin-start state through every step of a schedule."""
-    if initial.step != 0 or initial.positions() != [0]:
-        raise ValueError("run_walk requires a step-0 state located at the origin")
-    state = initial
-    for t in range(1, schedule.steps + 1):
-        state = step(state, schedule.step_ratios(t))
-    return state
+    (_, _, left, right), _ = _forward(schedule.values, schedule.steps, initial)
+    final = schedule.values.size
+    return WalkState(schedule.steps, (left[:, final:], right[:, final:]))
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """Probabilities over the ``steps + 1`` reachable lattice sites.
+    """Probabilities over the full parity-correct grid ``-steps, ..., steps``;
+    unreachable outcomes carry probability zero rather than being absent.
 
-    The support is always the full parity-correct grid
-    ``-steps, -steps+2, ..., steps``; unreachable outcomes carry probability
-    zero rather than being absent.
+    ``probs`` is a mapping keyed by site or a flat sequence in site order,
+    held as the read-only float64 array ``values``.
     """
 
-    steps: int
-    probs: dict[int, float]
-
-    def __post_init__(self) -> None:
-        expected = support_positions(self.steps)
-        if set(self.probs) != set(expected):
-            raise ValueError(
-                f"distribution support must be exactly {expected}, got {sorted(self.probs)}"
-            )
-        clean: dict[int, float] = {}
-        total = 0.0
-        for m in expected:
-            p = float(self.probs[m])
-            if not math.isfinite(p) or p < 0.0 or p > 1.0 + NORM_TOL:
-                raise ValueError(f"probability at position {m} is {p}, outside [0, 1]")
-            clean[m] = p
-            total += p
+    def __init__(self, steps: int, probs: Mapping[int, float] | Iterable[float]) -> None:
+        sites = support_positions(steps)
+        if isinstance(probs, Mapping):
+            if set(probs) != set(sites):
+                raise ValueError(
+                    f"distribution support must be exactly {sites}, got {sorted(probs)}"
+                )
+            probs = [probs[m] for m in sites]
+        values, bad = _frozen_array(probs, len(sites), "probabilities", 1.0 + NORM_TOL)
+        if bad is not None:
+            m, p = sites[bad], float(values[bad])
+            raise ValueError(f"probability at position {m} is {p}, outside [0, 1]")
+        total = float(values.sum())
         if abs(total - 1.0) > DIST_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", clean)
+        self.steps, self.values = steps, values
+
+    @cached_property
+    def probs(self) -> Mapping[int, float]:
+        """Read-only view: position -> probability."""
+        return MappingProxyType(dict(zip(self.support(), self.values.tolist())))
 
     def support(self) -> list[int]:
         return support_positions(self.steps)
 
     def as_array(self) -> np.ndarray:
-        """Probabilities ordered by ascending position."""
-        return np.array([self.probs[m] for m in self.support()])
+        """Probabilities ordered by ascending position (a writable copy)."""
+        return self.values.copy()
 
     @classmethod
     def from_array(cls, steps: int, values: Iterable[float]) -> "Distribution":
-        vals = list(values)
-        sites = support_positions(steps)
-        if len(vals) != len(sites):
-            raise ValueError(f"expected {len(sites)} probabilities, got {len(vals)}")
-        return cls(steps, dict(zip(sites, map(float, vals))))
+        return cls(steps, values)
 
 
 def measure(state: WalkState) -> Distribution:
     """Collapse a state to outcome probabilities |c_L|^2 + |c_R|^2 per site."""
-    probs = {m: 0.0 for m in support_positions(state.step)}
-    for pos, amp in state.amplitudes.items():
-        probs[pos] = float(np.abs(amp[0]) ** 2 + np.abs(amp[1]) ** 2)
-    return Distribution(steps=state.step, probs=probs)
+    return Distribution(state.step, _probs(state.left, state.right))

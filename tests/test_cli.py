@@ -253,6 +253,24 @@ class TestSample:
         assert code == 1
         assert "count" in capsys.readouterr().err
 
+    def test_count_beyond_memory_is_one_error_line(self, workspace, tmp_path, capsys):
+        # 10^18 uniforms need 8 EiB, so the allocation fails when it is
+        # requested and no memory is touched
+        out = tmp_path / "s.txt"
+        code = main(
+            [
+                "sample",
+                "--schedule", str(workspace["schedule"]),
+                "--count", str(10**18),
+                "--seed", "1",
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bits_format_writes_sidecar(self, workspace, tmp_path):
         out = tmp_path / "s.bits"
         code = main(

@@ -329,6 +329,38 @@ class TestCoinSchedule:
         again = sched.with_array(sched.to_array())
         assert again.ratios == sched.ratios
 
+    @pytest.mark.parametrize("steps, seed", [(1, 0), (4, 9), (16, 123), (64, 2**40 + 7)])
+    def test_random_matches_one_scalar_draw_per_key(self, steps, seed):
+        # rand:SEED inits must keep drawing the stream they always drew
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        keys = CoinSchedule.constant(steps).sorted_keys()
+        scalar = np.array([rng.uniform(0.0, 1.0) for _ in keys])
+        assert np.array_equal(CoinSchedule.random(steps, seed).to_array(), scalar)
+
+    def test_nan_and_out_of_range_rejected_from_arrays(self):
+        base = CoinSchedule.constant(2, 0.5).to_array()
+        for bad, shown in ((float("nan"), "nan"), (-0.25, "-0.25"), (1.5, "1.5")):
+            values = base.copy()
+            values[2] = bad
+            with pytest.raises(ValueError, match=rf"\(2, 1\) is {shown}, outside \[0, 1\]"):
+                CoinSchedule(2, values)
+        with pytest.raises(ValueError, match="outside"):
+            CoinSchedule(1, {(1, 0): float("nan")})
+        with pytest.raises(ValueError, match="expected 3 ratios, got 2"):
+            CoinSchedule(2, [0.5, 0.5])
+
+    def test_views_are_read_only(self):
+        sched = CoinSchedule.random(3, 1)
+        with pytest.raises(TypeError):
+            sched.ratios[(1, 0)] = 0.5
+        with pytest.raises(ValueError):
+            sched.values[0] = 0.5
+        sched.to_array()[:] = 0.5  # a copy, not the schedule's storage
+        assert np.array_equal(sched.values, CoinSchedule.random(3, 1).values)
+        dist = Distribution.from_array(1, [0.25, 0.75])
+        with pytest.raises(TypeError):
+            dist.probs[-1] = 0.5
+
 
 class TestDistribution:
     def test_support_must_be_exact(self):
@@ -342,6 +374,10 @@ class TestDistribution:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             Distribution(2, {-2: -0.1, 0: 0.6, 2: 0.5})
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"position -1 is nan, outside \[0, 1\]"):
+            Distribution.from_array(1, [float("nan"), 1.0])
 
     def test_array_round_trip(self):
         d = Distribution.from_array(3, [0.1, 0.2, 0.3, 0.4])
