@@ -16,6 +16,7 @@ from .analysis import (
     quantize_schedule,
     robustness_sweep,
 )
+from .fileio import load_target
 from .oracle import dense_walk, fd_gradient
 from .sampling import (
     SampleStream,
@@ -29,7 +30,7 @@ from .sampling import (
     pack_bits,
     unpack_bits,
 )
-from .targets import gaussian_target, load_target, target_from_spec, uniform_target
+from .targets import gaussian_target, target_from_spec, uniform_target
 from .training import (
     TrainConfig,
     TrainReport,

@@ -147,8 +147,3 @@ def fd_gradient(
             fm = _loss_at(schedule, key, r - h, initial, target)
             grad[key] = (fp - fm) / (2.0 * h)
     return grad
-
-
-def hadamard_walk_distribution(steps: int, coin_vector: Iterable[complex]) -> Distribution:
-    """Unbiased-walk distribution via the dense oracle (convenience helper)."""
-    return dense_walk(CoinSchedule.constant(steps, 0.5), coin_vector)

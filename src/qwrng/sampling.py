@@ -101,10 +101,13 @@ def encode_bits(stream: SampleStream | np.ndarray, n_outcomes: int) -> np.ndarra
         bad = outcomes[(outcomes < 0) | (outcomes >= n_outcomes)][0]
         raise ValueError(f"outcome index {bad} outside [0, {n_outcomes - 1}]")
     width = bit_width(n_outcomes)
-    if width == 0:
-        return np.zeros(0, dtype=np.uint8)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((outcomes[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    # one bit column at a time, from the narrowest integer type that holds
+    # every index, so no count x width temporary is built
+    small = outcomes.astype(np.min_scalar_type(n_outcomes - 1))
+    bits = np.empty((outcomes.size, width), dtype=np.uint8)
+    for j in range(width):
+        bits[:, j] = (small >> (width - 1 - j)) & 1
+    return bits.ravel()
 
 
 def bits_to_indices(bits: np.ndarray, width: int) -> np.ndarray:
@@ -116,8 +119,12 @@ def bits_to_indices(bits: np.ndarray, width: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if bits.size % width:
         raise ValueError(f"bit count {bits.size} is not a multiple of the width {width}")
-    weights = (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
-    return bits.reshape(-1, width).astype(np.int64) @ weights
+    fields = bits.reshape(-1, width)
+    idx = np.zeros(fields.shape[0], dtype=np.int64)
+    for j in range(width):
+        idx <<= 1
+        idx |= fields[:, j]
+    return idx
 
 
 def decode_bits(bits: np.ndarray, n_outcomes: int) -> np.ndarray:

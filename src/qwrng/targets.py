@@ -1,19 +1,13 @@
-"""Target distributions: uniform, discretized Gaussian, and CSV-loaded."""
+"""Target distributions: uniform and discretized Gaussian.  Target CSV files
+are read by :func:`qwrng.fileio.load_target`, also importable here under its
+former name ``load_target_auto``."""
 
 from __future__ import annotations
 
-import math
-from pathlib import Path
-
 import numpy as np
 
+from .fileio import load_target as load_target_auto, read_distribution
 from .walk import Distribution, support_positions
-
-#: How far a user-supplied target may deviate from unit mass before it is
-#: rejected instead of renormalized.
-LOAD_SUM_TOL = 1e-6
-
-CSV_HEADER = "position,probability"
 
 
 def uniform_target(steps: int) -> Distribution:
@@ -44,69 +38,6 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     return Distribution.from_array(steps, w)
 
 
-def _parse_rows(text: str) -> list[tuple[int, float]]:
-    rows: list[tuple[int, float]] = []
-    first = True
-    # tolerate the typographic minus sign in hand-written files
-    for lineno, raw in enumerate(text.replace("−", "-").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if first and line.lower() == CSV_HEADER:
-            first = False
-            continue
-        first = False
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'position,probability', got {raw!r}")
-        try:
-            pos = int(parts[0].strip())
-            prob = float(parts[1].strip())
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        rows.append((pos, prob))
-    if not rows:
-        raise ValueError("no data rows found")
-    return rows
-
-
-def load_target(text: str, steps: int) -> Distribution:
-    """Parse a 'position,probability' CSV into a target distribution.
-
-    The rows must cover exactly the ``steps + 1`` parity-correct sites, each
-    once.  A total mass within ``LOAD_SUM_TOL`` of 1 is renormalized exactly;
-    anything further off is rejected as unnormalized input.
-    """
-    rows = _parse_rows(text)
-    seen: dict[int, float] = {}
-    for pos, prob in rows:
-        if pos in seen:
-            raise ValueError(f"duplicate row for position {pos}")
-        seen[pos] = prob
-    expected = set(support_positions(steps))
-    if set(seen) != expected:
-        missing = sorted(expected - set(seen))
-        extra = sorted(set(seen) - expected)
-        raise ValueError(
-            f"rows must cover exactly the sites {sorted(expected)};"
-            f" missing {missing}, unexpected {extra}"
-        )
-    for pos, prob in seen.items():
-        if not math.isfinite(prob) or prob < 0.0:
-            raise ValueError(f"probability at position {pos} is {prob}, outside [0, 1]")
-    total = math.fsum(seen.values())
-    if abs(total - 1.0) > LOAD_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}; expected 1 within {LOAD_SUM_TOL}")
-    return Distribution(steps, {pos: prob / total for pos, prob in seen.items()})
-
-
-def load_target_auto(text: str) -> Distribution:
-    """Like :func:`load_target`, inferring the walk length from the rows."""
-    rows = _parse_rows(text)
-    steps = max(abs(pos) for pos, _ in rows)
-    return load_target(text, steps)
-
-
 def target_from_spec(spec: str, steps: int | None) -> Distribution:
     """Build a target from a compact text spec.
 
@@ -130,9 +61,5 @@ def target_from_spec(spec: str, steps: int | None) -> Distribution:
             raise ValueError(f"expected numeric MU,SIGMA in {spec!r}") from None
         return gaussian_target(steps, mu, sigma)
     if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        text = path.read_text(encoding="utf-8")
-        if steps is None:
-            return load_target_auto(text)
-        return load_target(text, steps)
+        return read_distribution(spec[len("file:"):], steps)
     raise ValueError(f"unknown target spec {spec!r} (use uniform, gaussian:MU,SIGMA or file:PATH)")

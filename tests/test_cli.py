@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -304,6 +305,26 @@ class TestSample:
         dist = measure(run_walk(initial_state(qwrng.NAMED_COIN_VECTORS["circ-left"]), sched))
         expected = qwrng.draw(qwrng.build_sampler(dist, 123), 2000)
         assert np.array_equal(read_indices(out), expected.outcomes)
+
+    @pytest.mark.parametrize("fmt", ["indices", "bits"])
+    def test_failed_replace_keeps_the_old_artifact(
+        self, workspace, tmp_path, monkeypatch, capsys, fmt
+    ):
+        out = tmp_path / "s.out"
+        args = ["sample", "--schedule", str(workspace["schedule"]), "--count", "100"]
+        args += ["--format", fmt, "--out", str(out)]
+        assert main(args + ["--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(args + ["--seed", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,17 @@ class TestSampleFiles:
         back = read_bits(path)
         assert np.array_equal(back, stream.outcomes)
 
+    def test_bits_payload_is_replaced_before_its_sidecar(self, tmp_path, monkeypatch):
+        replaced, real_replace = [], os.replace
+
+        def record(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        write_bits(draw(build_sampler(uniform_target(4), 4), 10), tmp_path / "s.bits")
+        assert replaced == ["s.bits", "s.bits.meta"]
+
     def test_bits_sidecar_mismatch_rejected(self, tmp_path):
         stream = draw(build_sampler(uniform_target(4), 4), 100)
         path = tmp_path / "samples.bits"
@@ -145,14 +158,3 @@ class TestReports:
     def test_layout_and_types(self):
         text = report_to_text([("alpha", 1), ("beta", 0.5), ("note", "ok")])
         assert text == "metric,value\nalpha,1\nbeta,0.5\nnote,ok\n"
-
-    def test_robustness_curve_layout(self):
-        from qwrng import RobustnessCurve
-        from qwrng.fileio import robustness_to_text
-
-        curve = RobustnessCurve(points=[(0.0, 1.0, 1.0), (0.05, 0.9375, 0.875)])
-        text = robustness_to_text(curve)
-        lines = text.splitlines()
-        assert lines[0] == "magnitude,mean_fidelity,min_fidelity"
-        assert lines[1] == "0,1,1"
-        assert lines[2] == "0.050000000000000003,0.9375,0.875"

@@ -15,7 +15,6 @@ from qwrng.oracle import (
     dense_step_unitaries,
     dense_walk,
     fd_gradient,
-    hadamard_walk_distribution,
 )
 
 from util import random_coin_vector, random_distribution, random_schedule
@@ -50,7 +49,7 @@ class TestDenseWalk:
             dense_walk(CoinSchedule.constant(MAX_DENSE_STEPS + 1, 0.5), (1.0, 0.0))
 
     def test_hadamard_helper(self):
-        d = hadamard_walk_distribution(4, (1.0, 0.0))
+        d = dense_walk(CoinSchedule.constant(4, 0.5), (1.0, 0.0))
         assert abs(d.probs[-2] - 10 / 16) <= 1e-12
 
 

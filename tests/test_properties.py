@@ -1,12 +1,37 @@
-"""Generated-input properties of the array walk core against the brute-force
-oracle: the forward walk (ratios exactly 0 and 1 included, up to the
-oracle's size cap) and the adjoint gradient."""
+"""Generated-input properties: the array walk core against the brute-force
+oracle (the forward walk, ratios exactly 0 and 1 included, up to the
+oracle's size cap, and the adjoint gradient), and the file formats
+(byte-exact round trips, every bit width, line-numbered diagnostics)."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwrng import CoinSchedule, Distribution, initial_state, loss_gradient, measure, run_walk
+from qwrng import (
+    CoinSchedule,
+    Distribution,
+    SampleStream,
+    initial_state,
+    load_target,
+    loss_gradient,
+    measure,
+    run_walk,
+    uniform_target,
+)
+from qwrng.fileio import (
+    distribution_to_text,
+    read_bits,
+    read_distribution,
+    read_indices,
+    read_schedule,
+    schedule_from_text,
+    schedule_to_text,
+    write_bits,
+    write_indices,
+)
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
 
 # a fixed example sequence keeps the suite's verdict reproducible
@@ -57,3 +82,69 @@ def test_adjoint_gradient_matches_finite_differences(data, sched, v):
     analytic = loss_gradient(sched, state, target)
     numeric = fd_gradient(sched, state, target, h=1e-5)
     assert max(abs(analytic[k] - numeric[k]) for k in analytic) <= 1e-6
+
+
+@PROPERTY
+@given(schedules(8, EDGE_RATIOS))
+def test_schedule_text_round_trips_byte_for_byte(sched):
+    text = schedule_to_text(sched)
+    again = schedule_from_text(text)
+    assert schedule_to_text(again) == text
+    assert np.array_equal(again.values, sched.values)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 12))
+def test_distribution_text_round_trips(data, steps):
+    dist = data.draw(distributions(steps))
+    text = distribution_to_text(dist)
+    again = load_target(text)
+    # the reader renormalizes by the exact sum, so only a mass of exactly 1
+    # leaves every value, and so every byte, unchanged
+    total = math.fsum(dist.values)
+    assert again.values.tolist() == [p / total for p in dist.values.tolist()]
+    if total == 1.0:
+        assert distribution_to_text(again) == text
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("streams")
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 70))
+def test_sample_files_round_trip_at_every_width(workdir, data, n_outcomes):
+    outcomes = data.draw(st.lists(st.integers(0, n_outcomes - 1), min_size=1, max_size=80))
+    stream = SampleStream(np.array(outcomes, dtype=np.int64), n_outcomes)
+    write_indices(stream, workdir / "s.txt")
+    write_bits(stream, workdir / "s.bits")
+    assert read_indices(workdir / "s.txt").tolist() == outcomes
+    assert read_bits(workdir / "s.bits").tolist() == outcomes
+    assert not list(workdir.glob("*.tmp"))
+
+
+GARBAGE = st.sampled_from(["x", "1,2,3,4", "0.5,abc", "--1", "1;0"])
+FILES = {
+    "schedule": (read_schedule, schedule_to_text(CoinSchedule.constant(3, 0.5))),
+    "target": (read_distribution, distribution_to_text(uniform_target(3))),
+    "indices": (read_indices, "\n0\n1\n2\n3\n4\n"),
+}
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(FILES)))
+def test_garbage_row_is_named_by_its_line_number(workdir, data, kind):
+    reader, text = FILES[kind]
+    header, *rows = text.splitlines()  # an index file has no header: a blank line stands in
+    bad = data.draw(st.integers(0, len(rows) - 1))
+    rows[bad] = data.draw(GARBAGE)
+    lines = [header]
+    for i, row in enumerate(rows):
+        lines += data.draw(st.lists(st.sampled_from(["", "  "]), max_size=2)) + [row]
+        if i == bad:
+            lineno = len(lines)
+    path = workdir / "garbage.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+        reader(path)
