@@ -47,14 +47,11 @@ from .walk import (
     CoinSchedule,
     Distribution,
     WalkState,
-    apply_coin_layer,
-    apply_shift,
     coin_from_ratio,
     coin_matrix,
     initial_state,
     measure,
     run_walk,
-    step,
     support_positions,
 )
 
@@ -72,8 +69,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "WalkState",
-    "apply_coin_layer",
-    "apply_shift",
     "apply_update",
     "build_sampler",
     "chi_square_p_value",
@@ -100,7 +95,6 @@ __all__ = [
     "quantize_schedule",
     "robustness_sweep",
     "run_walk",
-    "step",
     "support_positions",
     "target_from_spec",
     "train",

@@ -1,10 +1,10 @@
 """Command-line workflows: train, simulate, sample, analyze.
 
 Every command is a deterministic function of its flags and input files.
-Exit codes: 0 on success, 1 on usage/validation/IO errors or an allocation
-that does not fit in memory (with a one-line ``error: ...`` diagnostic on
-stderr), 2 when training ran out of iterations without converging
-(artifacts are still written).
+Exit codes: 0 on success, 1 on usage/validation/IO errors, an allocation
+that does not fit in memory or a number too large to represent (with a
+one-line ``error: ...`` diagnostic on stderr), 2 when training ran out of
+iterations without converging (artifacts are still written).
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

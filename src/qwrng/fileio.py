@@ -140,9 +140,14 @@ def load_target(text: str, steps: int | None = None) -> Distribution:
     positions, probs = _columns(text, (int, float), "'position,probability'", skip=has_header)
     if not positions:
         raise ValueError("no data rows found")
+    seen = _mapping(positions, probs, "position")
     if steps is None:
         steps = max(map(abs, positions))
-    seen = _mapping(positions, probs, "position")
+        if len(seen) != steps + 1:  # checked before the (maybe huge) site list is built
+            raise ValueError(
+                f"rows must cover exactly the {steps + 1} sites of a {steps}-step walk;"
+                f" {len(seen)} rows leave sites missing or unexpected"
+            )
     expected = set(support_positions(steps))
     if set(seen) != expected:
         missing = sorted(expected - set(seen))

@@ -8,7 +8,7 @@ of the amplitudes backpropagate through the transposed layers independently.
 
 :func:`train` keeps the ratios as one flat array: each iteration is one
 forward pass keeping every state, loss, fidelity and stop check, then one
-adjoint sweep over the kept states and the clamped update.
+adjoint sweep over the kept states and the update, clipped to [0, 1].
 """
 
 from __future__ import annotations
@@ -94,17 +94,14 @@ def apply_update(
     schedule: CoinSchedule,
     grad: Mapping[tuple[int, int], float],
     eta: float,
-    clamp_margin: float = 0.0,
 ) -> CoinSchedule:
-    """Descend one step: r <- r - eta * grad, clamped into the valid range."""
+    """Descend one step: r <- r - eta * grad, clipped to [0, 1]."""
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"learning rate must lie in (0, 1], got {eta}")
-    if not (0.0 <= clamp_margin < 0.5):
-        raise ValueError(f"clamp margin must lie in [0, 0.5), got {clamp_margin}")
     if set(grad) != set(schedule.ratios):
         raise ValueError("gradient key set does not match the schedule")
     g = np.array([grad[key] for key in schedule.sorted_keys()], dtype=np.float64)
-    return schedule.with_array(np.clip(schedule.values - eta * g, clamp_margin, 1 - clamp_margin))
+    return schedule.with_array(np.clip(schedule.values - eta * g, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ class TrainConfig:
     loss_tol: float = 1e-8
     init_ratio: float = 0.5
     init_seed: int | None = None
-    clamp_margin: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eta <= 1.0):
@@ -137,8 +133,6 @@ class TrainConfig:
             raise ValueError(f"loss tolerance must be non-negative, got {self.loss_tol}")
         if not (0.0 <= self.init_ratio <= 1.0):
             raise ValueError(f"init ratio must lie in [0, 1], got {self.init_ratio}")
-        if not (0.0 <= self.clamp_margin < 0.5):
-            raise ValueError(f"clamp margin must lie in [0, 0.5), got {self.clamp_margin}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,7 @@ def train(
         if converged or k == config.max_iters:
             break
         step = config.eta * _gradient(forward, probs - goal)
-        ratios = np.clip(ratios - step, config.clamp_margin, 1.0 - config.clamp_margin)
+        ratios = np.clip(ratios - step, 0.0, 1.0)
         k += 1
     schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)
     return TrainReport(trace, schedule, converged, output)

@@ -194,22 +194,15 @@ class CoinSchedule:
 
 
 class WalkState:
-    """Walker state after ``step`` steps: the slot arrays ``left`` and ``right``.
+    """Walker state after ``step`` steps: the slot arrays ``left`` and ``right``,
+    each ``(2, step + 1)`` (real and imaginary rows, one column per site).
 
     ``amplitudes`` maps occupied positions to complex ``(c_L, c_R)`` pairs
-    (a read-only view); the constructor also takes the pair of slot arrays.
+    (a read-only view).
     """
 
-    def __init__(self, step: int, amplitudes: Mapping | tuple[np.ndarray, np.ndarray]) -> None:
-        if isinstance(amplitudes, Mapping):
-            off = sorted(set(amplitudes) - set(support_positions(step)))
-            if off:
-                raise ValueError(f"positions {off} are not reachable after {step} steps")
-            amp = np.zeros((2, step + 1), dtype=np.complex128)
-            for pos, pair in amplitudes.items():
-                amp[:, (pos + step) // 2] = pair
-            amplitudes = np.array([amp.real, amp.imag]).swapaxes(0, 1)
-        self.step, (self.left, self.right) = step, amplitudes
+    def __init__(self, step: int, slots: tuple[np.ndarray, np.ndarray]) -> None:
+        self.step, (self.left, self.right) = step, slots
 
     @cached_property
     def amplitudes(self) -> Mapping[int, np.ndarray]:
@@ -240,7 +233,8 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
     sq = float(np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2)
     if abs(sq - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"coin vector is not normalized: |v|^2 = {sq!r}")
-    return WalkState(step=0, amplitudes={0: vec})
+    parts = np.array([vec.real, vec.imag])  # (re/im, L/R)
+    return WalkState(0, (parts[:, :1], parts[:, 1:]))
 
 
 def _coin(sr: np.ndarray, sq: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -273,35 +267,6 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
         )
         start = end
     return (sr, sq, left, right), _probs(left[:, start:], right[:, start:])
-
-
-def apply_coin_layer(state: WalkState, ratios: Mapping[int, float]) -> WalkState:
-    """Apply the per-position biased coin to every occupied position.
-
-    ``ratios`` must define a bias for each occupied position; extra entries
-    are ignored.  The step counter is unchanged and the norm is preserved.
-    """
-    r = np.ones(state.step + 1)  # empty slots stay zero under any coin
-    for pos in state.positions():
-        if pos not in ratios:
-            raise ValueError(f"no coin ratio for occupied position {pos}")
-        if not (0.0 <= ratios[pos] <= 1.0):
-            raise ValueError(f"coin bias ratio must lie in [0, 1], got {ratios[pos]}")
-        r[(pos + state.step) // 2] = ratios[pos]
-    return WalkState(state.step, _coin(np.sqrt(r), np.sqrt(1.0 - r), state.left, state.right))
-
-
-def apply_shift(state: WalkState) -> WalkState:
-    """Move every L component one site left and every R component one right:
-    a pure relabeling that preserves the norm exactly.  The step advances."""
-    zero = np.zeros((2, 1))
-    shifted = np.hstack([state.left, zero]), np.hstack([zero, state.right])
-    return WalkState(state.step + 1, shifted)
-
-
-def step(state: WalkState, ratios: Mapping[int, float]) -> WalkState:
-    """One full walk step: coin layer, then conditional shift."""
-    return apply_shift(apply_coin_layer(state, ratios))
 
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:

@@ -455,3 +455,28 @@ class TestParser:
         )
         assert result.returncode == 0
         assert "qwrng" in result.stdout
+
+
+BIG = 99999999999999999999  # above 2**63: rejected before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "case, pinned",
+    [("samples", "too large"), ("target", "missing"), ("train", "too large"), ("steps", "too large")],
+)
+def test_number_too_large_is_one_error_line(case, pinned, samples, tmp_path, capsys):
+    big_samples, big_target = tmp_path / "big.txt", tmp_path / "t.csv"
+    big_samples.write_text(f"0\n{BIG}\n")
+    big_target.write_text(f"{-10**20},0.5\n{10**20},0.5\n")
+    analyze = ["analyze", "--out", str(tmp_path / "r.csv"), "--target"]
+    argv = {
+        "samples": [*analyze, "uniform", "--steps", "4", "--samples", str(big_samples)],
+        "target": [*analyze, f"file:{big_target}", "--samples", str(samples)],
+        "train": ["train", "--steps", str(BIG), "--target", "uniform",
+                  "--out", str(tmp_path / "s"), "--log", str(tmp_path / "l")],
+        "steps": [*analyze, "uniform", "--steps", str(BIG), "--samples", str(samples)],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert pinned in err

@@ -145,11 +145,6 @@ class TestApplyUpdate:
         out = apply_update(sched, {(1, 0): -0.5}, eta=0.1)  # raw step +0.05
         assert out.ratios[(1, 0)] == 1.0
 
-    def test_clamp_margin_respected(self):
-        sched = CoinSchedule(1, {(1, 0): 0.99})
-        out = apply_update(sched, {(1, 0): -0.5}, eta=0.1, clamp_margin=0.02)
-        assert out.ratios[(1, 0)] == 0.98
-
     def test_zero_gradient_is_identity(self):
         rng = np.random.default_rng(7)
         sched = random_schedule(rng, 3)

@@ -8,14 +8,11 @@ from qwrng import (
     CoinParams,
     CoinSchedule,
     Distribution,
-    apply_coin_layer,
-    apply_shift,
     coin_from_ratio,
     coin_matrix,
     initial_state,
     measure,
     run_walk,
-    step,
 )
 from qwrng.oracle import dense_walk
 
@@ -112,87 +109,85 @@ class TestInitialState:
             initial_state((float("nan"), 0.0))
 
 
+def one_step(vector, ratio):
+    """State after a single walk step (coin at ``ratio``, then shift)."""
+    return run_walk(initial_state(vector), CoinSchedule.constant(1, ratio))
+
+
+def prefix(sched, t):
+    """The first ``t`` steps of a schedule."""
+    return CoinSchedule(t, sched.values[: t * (t + 1) // 2])
+
+
 class TestCoinLayer:
+    # one step from site 0: the coin's L output lands on -1, its R output on +1
     def test_half_ratio_on_pure_left(self):
-        s = initial_state((1.0, 0.0))
-        out = apply_coin_layer(s, {0: 0.5})
-        assert np.allclose(out.amplitudes[0], [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
-        assert out.step == 0
+        out = one_step((1.0, 0.0), 0.5)
+        assert np.allclose(out.amplitudes[-1], [1 / math.sqrt(2), 0.0], atol=1e-12)
+        assert np.allclose(out.amplitudes[1], [0.0, 1 / math.sqrt(2)], atol=1e-12)
 
     def test_full_bias_negates_right_component(self):
         rng = np.random.default_rng(5)
         v = random_coin_vector(rng)
-        out = apply_coin_layer(initial_state(v), {0: 1.0})
-        assert np.allclose(out.amplitudes[0], [v[0], -v[1]], atol=0)
+        out = one_step(v, 1.0)
+        assert np.allclose(out.amplitudes[-1], [v[0], 0.0], atol=0)
+        assert np.allclose(out.amplitudes[1], [0.0, -v[1]], atol=0)
 
     def test_partial_bias_values(self):
-        out = apply_coin_layer(initial_state((1.0, 0.0)), {0: 0.3})
-        assert np.allclose(
-            out.amplitudes[0], [math.sqrt(0.3), math.sqrt(0.7)], atol=1e-15
-        )
-
-    def test_missing_ratio_names_position(self):
-        s = initial_state((1.0, 0.0))
-        with pytest.raises(ValueError, match="position 0"):
-            apply_coin_layer(s, {2: 0.5})
+        out = one_step((1.0, 0.0), 0.3)
+        assert np.allclose(out.amplitudes[-1], [math.sqrt(0.3), 0.0], atol=1e-15)
+        assert np.allclose(out.amplitudes[1], [0.0, math.sqrt(0.7)], atol=1e-15)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
-        s = initial_state(random_coin_vector(rng))
-        out = apply_coin_layer(s, {0: 0.37})
+        out = one_step(random_coin_vector(rng), 0.37)
         assert abs(out.norm() - 1.0) <= 1e-12
 
 
 class TestShift:
     def test_left_component_moves_left(self):
-        out = apply_shift(initial_state((1.0, 0.0)))
+        out = one_step((1.0, 0.0), 1.0)
         assert out.step == 1
         assert out.positions() == [-1]
         assert np.allclose(out.amplitudes[-1], [1.0, 0.0])
 
     def test_right_component_moves_right(self):
-        out = apply_shift(initial_state((0.0, 1.0)))
+        out = one_step((0.0, 1.0), 1.0)  # r = 1 keeps the labels, negates R
         assert out.step == 1
         assert out.positions() == [1]
-        assert np.allclose(out.amplitudes[1], [0.0, 1.0])
+        assert np.allclose(out.amplitudes[1], [0.0, -1.0])
 
     def test_disjoint_relabeling_merges_slots(self):
-        a, b, c, d = 0.5, 0.5j, -0.5, 0.5
-        state = qwrng.WalkState(
-            step=1,
-            amplitudes={
-                -1: np.array([a, b], dtype=complex),
-                1: np.array([c, d], dtype=complex),
-            },
-        )
-        out = apply_shift(state)
+        # circ-left through a Hadamard step puts L' = (1+i)/2 on -1 and
+        # R' = (1-i)/2 on +1; step 2 (r = 0.36 at -1, 0.64 at +1) sends R'
+        # from +1 and L' from -1 into site 0: (0.6 R', 0.8 L')
+        v = qwrng.NAMED_COIN_VECTORS["circ-left"]
+        out = run_walk(initial_state(v), CoinSchedule(2, [0.5, 0.36, 0.64]))
         assert out.step == 2
         assert out.positions() == [-2, 0, 2]
-        assert np.allclose(out.amplitudes[-2], [a, 0.0])
-        assert np.allclose(out.amplitudes[0], [c, b])
-        assert np.allclose(out.amplitudes[2], [0.0, d])
-        assert abs(out.norm() - state.norm()) == 0.0
+        assert np.allclose(out.amplitudes[-2], [0.3 + 0.3j, 0.0], atol=1e-12)
+        assert np.allclose(out.amplitudes[0], [0.3 - 0.3j, 0.4 + 0.4j], atol=1e-12)
+        assert np.allclose(out.amplitudes[2], [0.0, -0.4 + 0.4j], atol=1e-12)
+        assert abs(out.norm() - 1.0) <= 1e-12
 
 
 class TestStep:
     def test_hadamard_split(self):
-        out = step(initial_state((1.0, 0.0)), {0: 0.5})
+        out = one_step((1.0, 0.0), 0.5)
         assert out.positions() == [-1, 1]
         assert np.allclose(out.amplitudes[-1], [1 / math.sqrt(2), 0.0], atol=1e-12)
         assert np.allclose(out.amplitudes[1], [0.0, 1 / math.sqrt(2)], atol=1e-12)
 
     def test_ballistic(self):
-        out = step(initial_state((1.0, 0.0)), {0: 1.0})
-        assert out.positions() == [-1]
+        assert one_step((1.0, 0.0), 1.0).positions() == [-1]
 
     def test_norm_preserved_on_random_states(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             state = initial_state(random_coin_vector(rng))
+            sched = random_schedule(rng, 3)
             for t in range(1, 4):
-                ratios = {m: rng.uniform(0, 1) for m in range(-t + 1, t, 2)}
-                state = step(state, ratios)
-            assert abs(state.norm() - 1.0) <= 1e-12
+                assert abs(run_walk(state, prefix(sched, t)).norm() - 1.0) <= 1e-12
 
 
 class TestRunWalk:
@@ -216,14 +211,14 @@ class TestRunWalk:
             assert abs(fast.probs[m] - dense.probs[m]) <= 1e-12
 
     def test_requires_origin_start(self):
-        shifted = apply_shift(initial_state((1.0, 0.0)))
+        shifted = one_step((1.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="origin"):
             run_walk(shifted, CoinSchedule.constant(2, 0.5))
 
 
 class TestMeasure:
     def test_single_step_even_split(self):
-        dist = measure(step(initial_state((1.0, 0.0)), {0: 0.5}))
+        dist = measure(one_step((1.0, 0.0), 0.5))
         assert abs(dist.probs[-1] - 0.5) <= 1e-12
         assert abs(dist.probs[1] - 0.5) <= 1e-12
 
@@ -249,8 +244,7 @@ class TestWalkInvariants:
             sched = random_schedule(rng, n)
             state = initial_state(random_coin_vector(rng))
             for t in range(1, n + 1):
-                state = step(state, sched.step_ratios(t))
-                assert abs(state.norm() - 1.0) <= 1e-12
+                assert abs(run_walk(state, prefix(sched, t)).norm() - 1.0) <= 1e-12
 
     def test_support_parity_and_bounds(self):
         rng = np.random.default_rng(3)
