@@ -2,9 +2,10 @@
 
 Every command is a deterministic function of its flags and input files.
 Exit codes: 0 on success, 1 on usage/validation/IO errors, an allocation
-that does not fit in memory or a number too large to represent (with a
-one-line ``error: ...`` diagnostic on stderr), 2 when training ran out of
-iterations without converging (artifacts are still written).
+that does not fit in memory, a number too large to represent or an
+interrupt (with a one-line ``error: ...`` diagnostic on stderr), 2 when
+training ran out of iterations without converging (artifacts are still
+written).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import sys
 
 from . import fileio
 from .analysis import chi_square_test, entropy_report, quantize_schedule
-from .sampling import build_sampler, counts_by_position, draw, empirical_distribution
+from .sampling import build_sampler, counts_by_position, draw
 from .targets import target_from_spec
 from .training import TrainConfig, fidelity, train
-from .walk import NAMED_COIN_VECTORS, initial_state, measure, run_walk
+from .walk import NAMED_COIN_VECTORS, Distribution, initial_state, measure, run_walk
 
 #: Coin state used for training and schedule-level analysis.  For real
 #: (ratio-parameterized) schedules the two circular states produce the same
@@ -31,6 +32,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _steps(text: str) -> int:
+    """Walk length for ``--steps``: an ``int`` whose ``steps + 1`` sites can
+    be counted in a C ``ssize_t``."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if steps >= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"{steps} is too large for a walk length")
+    return steps
 
 
 def _parse_coin_vector(text: str) -> tuple[complex, complex]:
@@ -127,7 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"sample index {outcomes.max()} does not fit a {steps}-step walk"
         )
     counts = counts_by_position(outcomes, steps)
-    empirical = empirical_distribution(outcomes, steps)
+    empirical = Distribution(steps, {m: c / outcomes.size for m, c in counts.items()})
     chi2 = chi_square_test(counts, target)
     shannon, min_entropy = entropy_report(empirical)
 
@@ -165,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser(
         "train", help="fit a coin schedule to a target distribution"
     )
-    p_train.add_argument("--steps", type=int, required=True, help="walk length n")
+    p_train.add_argument("--steps", type=_steps, required=True, help="walk length n")
     p_train.add_argument(
         "--target", required=True, help="uniform | gaussian:MU,SIGMA | file:PATH"
     )
@@ -201,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="statistical report for a sample file")
     p_an.add_argument("--samples", required=True, help="indices file written by sample")
     p_an.add_argument("--target", required=True, help="uniform | gaussian:MU,SIGMA | file:PATH")
-    p_an.add_argument("--steps", type=int, help="walk length (when no --schedule is given)")
+    p_an.add_argument("--steps", type=_steps, help="walk length (when no --schedule is given)")
     p_an.add_argument("--schedule", help="schedule file for fidelity/quantization checks")
     p_an.add_argument("--quantize-deg", type=float, help="wave-plate resolution to test")
     p_an.add_argument("--out", required=True, help="report CSV to write")
@@ -221,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

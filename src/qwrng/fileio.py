@@ -188,15 +188,69 @@ def write_trace(iterations: Iterable[tuple[int, float, float]], path: str | Path
 
 
 def write_indices(stream: sampling.SampleStream, path: str | Path) -> None:
-    """One decimal outcome index per line."""
-    _write(path, "\n".join(map(str, stream.outcomes.tolist())) + "\n")
+    """One decimal outcome index per line.
+
+    Each outcome's row ``f"{i}\\n"`` is precomputed, NUL-padded to a common
+    width; the rows are gathered by outcome and the padding dropped.
+    """
+    n = stream.n_outcomes
+    sampling.check_outcomes(stream.outcomes, n)
+    rows = [f"{i}\n" for i in range(n)]
+    width = len(rows[-1])
+    table = np.frombuffer("".join(row.ljust(width, "\0") for row in rows).encode("ascii"), np.uint8)
+    gathered = table.reshape(n, width)[stream.outcomes]
+    _write(path, gathered[gathered != 0].tobytes())
+
+
+#: Longest line the array index reader parses: 10**18 - 1 fits in int64.
+_MAX_FAST_DIGITS = 18
+
+
+def _digit_lines(data: bytes) -> np.ndarray | None:
+    """The non-blank lines of ``data`` as int64, when every byte is a digit
+    or a newline and no line is longer than ``_MAX_FAST_DIGITS``; else None."""
+    raw = np.frombuffer(data, np.uint8)
+    digits = raw - np.uint8(ord("0"))  # any byte below "0" wraps above 9
+    newline = raw == ord("\n")
+    if not np.all((digits < 10) | newline):
+        return None
+    ends = np.flatnonzero(np.append(newline, True))  # a final line may lack its newline
+    lengths = np.diff(ends, prepend=-1) - 1
+    ends, lengths = ends[lengths > 0], lengths[lengths > 0]
+    longest = int(lengths.max(initial=0))
+    if longest > _MAX_FAST_DIGITS:
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for k in range(longest, 0, -1):  # Horner's rule, most significant digit first
+        values *= 10
+        values += np.where(lengths >= k, digits[ends - k], 0)
+    return values
 
 
 def read_indices(path: str | Path) -> np.ndarray:
-    (values,) = _columns(Path(path).read_text(encoding="utf-8"), (int,), "an integer index")
-    if not values:
+    """Outcome indices, one per non-blank line.
+
+    Files made only of digits and newlines, with at most 18 digits a line,
+    are parsed with array arithmetic; any other file is read line by line
+    with ``int``, which also accepts surrounding spaces, ``+``, ``_`` and CRLF.
+    """
+    data = Path(path).read_bytes()
+    arr = _digit_lines(data)
+    if arr is None:
+        text = data.decode("utf-8")
+        (values,) = _columns(text, (int,), "an integer index")
+        try:
+            arr = np.array(values, dtype=np.int64)
+        except OverflowError:
+            k, big = next((k, v) for k, v in enumerate(values) if v >= 2**63 or v < -(2**63))
+            if big < 0:
+                raise ValueError("sample indices must be non-negative") from None
+            lineno = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][k]
+            raise ValueError(
+                f"line {lineno}: sample index {big} is too large for a 64-bit integer"
+            ) from None
+    if not arr.size:
         raise ValueError("no sample indices found")
-    arr = np.array(values, dtype=np.int64)
     if arr.min() < 0:
         raise ValueError("sample indices must be non-negative")
     return arr

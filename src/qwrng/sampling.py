@@ -2,10 +2,14 @@
 
 Outcomes are indices into the ascending support of the source distribution:
 index ``i`` stands for lattice position ``-steps + 2*i``.  Draws come from
-inverse-CDF lookup (binary search on the cumulative array) driven by a
-PCG64 generator, so a (distribution, seed, count) triple always reproduces
-the same stream, on any platform.  The streams are deterministic stand-ins
-for a physical detection record, not a source of true entropy.
+inverse-CDF lookup driven by a PCG64 generator, so a (distribution, seed,
+count) triple always reproduces the same stream, on any platform.  The
+lookup is a guide table (Chen and Asau, 1974): a power-of-two grid of
+buckets over [0, 1) names the first candidate outcome of each bucket, and a
+short correction step walks past the cumulative entries that a uniform
+still reaches, so every index equals ``searchsorted(cdf, u, side="right")``.
+The streams are deterministic stand-ins for a physical detection record,
+not a source of true entropy.
 """
 
 from __future__ import annotations
@@ -17,6 +21,12 @@ import numpy as np
 from .walk import Distribution, support_positions
 
 _MAX_SEED = 2**64
+#: Uniforms drawn and looked up per pass, so a draw holds no count-sized
+#: temporary beyond its int64 output.
+_CHUNK = 2**16
+#: The guide table has 2**(bit_length(n_outcomes) + _GUIDE_BITS) buckets,
+#: 16 to 32 per outcome, so few uniforms share a bucket with a cdf entry.
+_GUIDE_BITS = 4
 
 
 def bit_width(n_outcomes: int) -> int:
@@ -83,9 +93,32 @@ def draw(sampler: SamplerState, count: int) -> SampleStream:
     """Draw ``count`` outcome indices, advancing the sampler state."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    u = sampler.rng.random(count)
-    idx = np.searchsorted(sampler.cdf, u, side="right").astype(np.int64)
-    return SampleStream(outcomes=idx, n_outcomes=int(sampler.cdf.size))
+    cdf = sampler.cdf
+    # bucket j covers [j/K, (j+1)/K); u*K and j/K are exact for a power-of-two K
+    buckets = 1 << (cdf.size.bit_length() + _GUIDE_BITS)
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    outcomes = np.empty(count, dtype=np.int64)
+    u = np.empty(min(count, _CHUNK))
+    for start in range(0, count, _CHUNK):
+        idx = outcomes[start : start + _CHUNK]
+        uc = u[: idx.size]
+        sampler.rng.random(out=uc)
+        np.take(guide, (uc * buckets).astype(np.intp), out=idx, mode="clip")
+        # guide[j] counts the cdf entries <= j/K <= u; step over the entries
+        # of the bucket that are <= u too.  idx never passes the answer, which
+        # is below cdf.size because cdf[-1] = 1 > u, so cdf[idx] is in range.
+        move = np.flatnonzero(cdf[idx] <= uc)
+        while move.size:
+            idx[move] += 1
+            move = move[cdf[idx[move]] <= uc[move]]
+    return SampleStream(outcomes=outcomes, n_outcomes=int(cdf.size))
+
+
+def check_outcomes(outcomes: np.ndarray, n_outcomes: int) -> None:
+    """Reject any outcome index outside ``[0, n_outcomes - 1]``."""
+    if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= n_outcomes):
+        bad = outcomes[(outcomes < 0) | (outcomes >= n_outcomes)][0]
+        raise ValueError(f"outcome index {bad} outside [0, {n_outcomes - 1}]")
 
 
 def encode_bits(stream: SampleStream | np.ndarray, n_outcomes: int) -> np.ndarray:
@@ -97,9 +130,7 @@ def encode_bits(stream: SampleStream | np.ndarray, n_outcomes: int) -> np.ndarra
     encoding but the bit marginals inherit the outcome bias.
     """
     outcomes = np.asarray(getattr(stream, "outcomes", stream), dtype=np.int64)
-    if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= n_outcomes):
-        bad = outcomes[(outcomes < 0) | (outcomes >= n_outcomes)][0]
-        raise ValueError(f"outcome index {bad} outside [0, {n_outcomes - 1}]")
+    check_outcomes(outcomes, n_outcomes)
     width = bit_width(n_outcomes)
     # one bit column at a time, from the narrowest integer type that holds
     # every index, so no count x width temporary is built
@@ -159,8 +190,7 @@ def counts_by_position(outcomes: np.ndarray, steps: int) -> dict[int, int]:
     """Tally outcome indices into counts per lattice position."""
     outcomes = np.asarray(outcomes, dtype=np.int64)
     sites = support_positions(steps)
-    if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= len(sites)):
-        raise ValueError(f"outcome indices must lie in [0, {len(sites) - 1}]")
+    check_outcomes(outcomes, len(sites))
     counts = np.bincount(outcomes, minlength=len(sites))
     return {m: int(c) for m, c in zip(sites, counts)}
 

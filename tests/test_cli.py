@@ -480,3 +480,18 @@ def test_number_too_large_is_one_error_line(case, pinned, samples, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert pinned in err
+    # the message names where the number came from
+    assert {"samples": "line 2:", "train": "--steps", "steps": "--steps"}.get(case, "") in err
+
+
+def test_interrupt_is_one_error_line_and_leaves_no_temporary(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)  # after the temporary file is written
+    argv = ["sample", "--schedule", str(workspace["schedule"]), "--count", "100", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "s.txt")]) == 1
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert not list(tmp_path.iterdir())

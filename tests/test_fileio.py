@@ -121,6 +121,15 @@ class TestSampleFiles:
         with pytest.raises(ValueError, match="no sample"):
             read_indices(path)
 
+    def test_index_too_large_names_its_line(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0\n\n  \n99999999999999999999\n")  # blank lines count
+        with pytest.raises(ValueError, match="^line 4: sample index 99999999999999999999 is too large"):
+            read_indices(path)
+        path.write_text("0\n-99999999999999999999\n")
+        with pytest.raises(ValueError, match="non-negative"):
+            read_indices(path)
+
     def test_bits_round_trip_with_sidecar(self, tmp_path):
         stream = draw(build_sampler(uniform_target(4), 4), 999)
         path = tmp_path / "samples.bits"

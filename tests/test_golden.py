@@ -1,10 +1,12 @@
 """Pinned sha256 digests of every artifact format and of a fixed CLI chain.
 
 The text digests guard the writers' exact bytes.  The CLI digests also pin
-the trained schedule and the seeded PCG64 / ``searchsorted`` sample stream,
-which NumPy does not promise to keep across versions: a failure after a
-library upgrade means the same seed no longer gives the same random numbers.
-The values were computed once and are never edited to make a change pass.
+the trained schedule and the seeded PCG64 sample stream, whose guide-table
+inverse-CDF lookup returns exactly ``searchsorted(cdf, u, side="right")``;
+NumPy does not promise to keep the PCG64 stream across versions, so a failure
+after a library upgrade means the same seed no longer gives the same random
+numbers.  The values were computed once and are never edited to make a
+change pass.
 """
 
 import hashlib
@@ -13,7 +15,13 @@ import pytest
 
 from qwrng import CoinSchedule, Distribution
 from qwrng.cli import main
-from qwrng.fileio import distribution_to_text, report_to_text, schedule_to_text, trace_to_text
+from qwrng.fileio import (
+    distribution_to_text,
+    report_to_text,
+    schedule_to_text,
+    trace_to_text,
+    write_schedule,
+)
 
 
 def _sha(data: str | bytes) -> str:
@@ -87,3 +95,16 @@ CLI_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_artifact_digest(cli_chain, name):
     assert _sha(cli_chain[name].read_bytes()) == CLI_DIGESTS[name]
+
+
+def test_multi_digit_index_stream_digest(tmp_path):
+    """A 16-step stream, so the index file holds one- and two-digit rows
+    (every index 0-16 occurs at this seed and count)."""
+    values = [0.4 + 0.2 * (((k + 1) * 0.6180339887498949) % 1.0) for k in range(136)]
+    sched, out = tmp_path / "n16.sched", tmp_path / "s16.txt"
+    write_schedule(CoinSchedule(16, values), sched)
+    argv = ["sample", "--schedule", str(sched), "--seed", "11", "--count", "100000"]
+    assert main(argv + ["--format", "indices", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == (
+        "0bc62b72a3b7df70bfbc4d11f5220b79dd5c75a60a664215eee863b02b8001b0"
+    )

@@ -1,13 +1,14 @@
 """Generated-input properties: the array walk core against the brute-force
 oracle (the forward walk, ratios exactly 0 and 1 included, up to the
 oracle's size cap, and the adjoint gradient), and the file formats
-(byte-exact round trips, every bit width, line-numbered diagnostics)."""
+(byte-exact round trips, every bit width, line-numbered diagnostics, and the
+array-speed index codec against the plain line-by-line one)."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwrng import (
@@ -22,6 +23,8 @@ from qwrng import (
     uniform_target,
 )
 from qwrng.fileio import (
+    _columns,
+    _digit_lines,
     distribution_to_text,
     read_bits,
     read_distribution,
@@ -122,6 +125,57 @@ def test_sample_files_round_trip_at_every_width(workdir, data, n_outcomes):
     assert read_indices(workdir / "s.txt").tolist() == outcomes
     assert read_bits(workdir / "s.bits").tolist() == outcomes
     assert not list(workdir.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("n_outcomes", [1, 9, 10, 11, 99, 100, 101, 257, 1001])
+def test_index_writer_matches_the_join_reference(workdir, n_outcomes):
+    rng = np.random.default_rng(n_outcomes)
+    outcomes = np.concatenate([np.arange(n_outcomes), rng.integers(0, n_outcomes, 300)])
+    write_indices(SampleStream(outcomes, n_outcomes), workdir / "w.txt")
+    reference = "\n".join(map(str, outcomes.tolist())) + "\n"
+    assert (workdir / "w.txt").read_bytes() == reference.encode("ascii")
+
+
+def _line_reader(text: str) -> list[int]:
+    """The line-by-line reader that non-digit index files take: ``int`` per line."""
+    (values,) = _columns(text, (int,), "an integer index")
+    return values
+
+
+DIGIT_LINES = st.lists(
+    st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=18)), min_size=1, max_size=40
+)
+
+
+@PROPERTY
+@given(DIGIT_LINES.filter(any), st.booleans())
+@example(["999999999999999999", "", "000000000000000007", "0"], False)
+def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    assert _digit_lines(text.encode("ascii")) is not None  # the array path takes this file
+    (workdir / "d.txt").write_bytes(text.encode("ascii"))
+    assert read_indices(workdir / "d.txt").tolist() == _line_reader(text)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b" 3\n", [3]),
+        (b"+3\n", [3]),
+        (b"1_0\n", [10]),
+        (b"3\r\n", [3]),
+        (b"1000000000000000000\n", [10**18]),  # 19 digits: past the array path
+        ("4\n\u22123\n".encode("utf-8"), "non-negative"),
+    ],
+)
+def test_other_index_files_take_the_line_reader(workdir, data, expected):
+    assert _digit_lines(data) is None
+    (workdir / "f.txt").write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            read_indices(workdir / "f.txt")
+    else:
+        assert read_indices(workdir / "f.txt").tolist() == expected
 
 
 GARBAGE = st.sampled_from(["x", "1,2,3,4", "0.5,abc", "--1", "1;0"])

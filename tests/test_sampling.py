@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qwrng import (
+    NAMED_COIN_VECTORS,
+    CoinSchedule,
     Distribution,
     build_sampler,
     counts_by_position,
@@ -9,11 +11,14 @@ from qwrng import (
     draw,
     empirical_distribution,
     encode_bits,
+    initial_state,
+    measure,
     pack_bits,
+    run_walk,
     uniform_target,
     unpack_bits,
 )
-from qwrng.sampling import SampleStream, bit_width, bits_to_indices
+from qwrng.sampling import _CHUNK, SampleStream, bit_width, bits_to_indices
 
 #: chi-square upper critical value at the 1% level for four degrees of freedom
 CHI2_CRIT_DOF4_1PCT = 13.276704135987622
@@ -88,6 +93,64 @@ class TestDraw:
         for m, p in source.probs.items():
             sigma = np.sqrt(p * (1 - p) / stream.count)
             assert abs(emp.probs[m] - p) <= 5 * sigma
+
+
+class _Uniforms:
+    """Stands in for the sampler's generator: hands out fixed uniforms in order."""
+
+    def __init__(self, u):
+        self.u, self.used = np.asarray(u, dtype=np.float64), 0
+
+    def random(self, out):
+        out[:] = self.u[self.used : self.used + out.size]
+        self.used += out.size
+        return out
+
+
+def _hadamard(steps: int) -> Distribution:
+    # tails of order 2**-steps crowd many cdf entries into the first and last buckets
+    state = initial_state(NAMED_COIN_VECTORS["circ-left"])
+    return measure(run_walk(state, CoinSchedule.constant(steps, 0.5)))
+
+
+LOOKUP_SOURCES = {
+    "skewed": Distribution.from_array(16, np.random.default_rng(5).dirichlet(np.ones(17))),
+    "zero-sites": Distribution.from_array(6, [0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0]),
+    "degenerate": degenerate(4, 2),
+    "one-outcome": Distribution(0, {0: 1.0}),
+    "hadamard-64": _hadamard(64),
+}
+
+
+class TestGuideTableLookup:
+    """``draw`` must return exactly ``searchsorted(cdf, u, side="right")``."""
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_SOURCES))
+    def test_at_and_beside_every_cdf_entry(self, name):
+        sampler = build_sampler(LOOKUP_SOURCES[name], 0)
+        cdf = sampler.cdf
+        u = np.concatenate([[0.0], cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        sampler.rng = _Uniforms(u)
+        outcomes = draw(sampler, u.size).outcomes
+        assert outcomes.dtype == np.int64
+        assert np.array_equal(outcomes, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_SOURCES))
+    def test_seeded_stream(self, name):
+        sampler = build_sampler(LOOKUP_SOURCES[name], 17)
+        u = np.random.Generator(np.random.PCG64(17)).random(5000)
+        expected = np.searchsorted(sampler.cdf, u, side="right")
+        assert np.array_equal(draw(sampler, 5000).outcomes, expected)
+
+    @pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_edges_keep_the_pcg64_stream(self, count):
+        source = LOOKUP_SOURCES["skewed"]
+        u = np.random.Generator(np.random.PCG64(3)).random(count + 5)
+        sampler = build_sampler(source, 3)
+        first, rest = draw(sampler, count).outcomes, draw(sampler, 5).outcomes
+        assert first.dtype == np.int64 and first.size == count
+        assert np.array_equal(np.concatenate([first, rest]), np.searchsorted(sampler.cdf, u, side="right"))
 
 
 class TestEncoding:
