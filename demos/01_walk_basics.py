@@ -48,7 +48,7 @@ for name in ("L", "circ-left"):
 # --- trust but verify ---------------------------------------------------------
 # The array evolution must agree with an explicit matrix-product simulation.
 rng = np.random.default_rng(1)
-sched = CoinSchedule(4, {k: rng.uniform(0, 1) for k in CoinSchedule.constant(4).sorted_keys()})
+sched = CoinSchedule(4, [rng.uniform(0, 1) for _ in range(10)])  # ten (step, position) ratios
 v = NAMED_COIN_VECTORS["circ-right"]
 fast = measure(run_walk(initial_state(v), sched))
 slow = dense_walk(sched, v)

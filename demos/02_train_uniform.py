@@ -29,8 +29,8 @@ for m, p in report.output.probs.items():
 # positions reachable before it, so the grid is triangular.
 print("\nlearned coin bias grid (rows are steps):")
 for t in range(1, 5):
-    row = report.final_schedule.step_ratios(t)
-    cells = "  ".join(f"{m:+d}:{r:.3f}" for m, r in sorted(row.items()))
+    row = report.final_schedule.values[t * (t - 1) // 2 : t * (t + 1) // 2]
+    cells = "  ".join(f"{m:+d}:{r:.3f}" for m, r in zip(range(1 - t, t, 2), row))
     print(f"  step {t}:  {cells}")
 
 print("\nnote: many grids produce the same distribution; this is the one")

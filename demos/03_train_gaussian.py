@@ -33,7 +33,7 @@ print(f"\nfinal fidelity vs target: {fidelity(report.output, target):.6f}")
 # sites that sums to one, e.g. a tilted ramp.
 from qwrng import Distribution
 
-ramp = Distribution.from_array(4, [0.05, 0.10, 0.20, 0.30, 0.35])
+ramp = Distribution(4, [0.05, 0.10, 0.20, 0.30, 0.35])
 ramp_report = train(state, ramp, TrainConfig(max_iters=500))
 print(f"\nramp target: final fidelity {ramp_report.final_fidelity:.6f}")
 for m in ramp.support():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaincc
@@ -52,21 +52,22 @@ def chi_square_p_value(statistic: float, dof: int) -> float:
     return float(gammaincc(dof / 2.0, statistic / 2.0))
 
 
-def chi_square_test(counts: Mapping[int, int], target: Distribution) -> ChiSquareReport:
+def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport:
     """Pearson chi-square test of observed counts against a target.
 
-    Counts are keyed by lattice position; sites missing from the mapping
-    count as zero.  The p-value is the regularized upper incomplete gamma
-    function at (dof/2, statistic/2).
+    ``counts`` holds one count per site of the target support, in site order
+    (as :func:`qwrng.counts_by_position` returns them).  The p-value is the
+    regularized upper incomplete gamma function at (dof/2, statistic/2).
     """
     sites = target.support()
-    extra = sorted(set(counts) - set(sites))
-    if extra:
-        raise ValueError(f"counts at positions {extra} lie outside the target support")
-    observed = {m: int(counts.get(m, 0)) for m in sites}
-    if any(c < 0 for c in observed.values()):
+    observed = np.asarray(counts, dtype=np.int64)
+    if observed.shape != (len(sites),):
+        raise ValueError(
+            f"expected {len(sites)} counts, one per site of the target support, got {observed.size}"
+        )
+    if observed.min() < 0:
         raise ValueError("counts must be non-negative")
-    total = sum(observed.values())
+    total = int(observed.sum())
     if total < 1:
         raise ValueError("chi-square test needs at least one observation")
     if total < 5 * len(sites):
@@ -75,16 +76,15 @@ def chi_square_test(counts: Mapping[int, int], target: Distribution) -> ChiSquar
             " the chi-square approximation may be poor",
             stacklevel=2,
         )
+    # summed term by term in site order over Python floats, so reports keep their bytes
     statistic = 0.0
-    for m in sites:
-        expected = total * target.probs[m]
+    for m, o, p in zip(sites, observed.tolist(), target.values.tolist()):
+        expected = total * p
         if expected == 0.0:
-            if observed[m]:
-                raise ValueError(
-                    f"position {m} has zero expected count but {observed[m]} observations"
-                )
+            if o:
+                raise ValueError(f"position {m} has zero expected count but {o} observations")
             continue
-        statistic += (observed[m] - expected) ** 2 / expected
+        statistic += (o - expected) ** 2 / expected
     dof = len(sites) - 1
     return ChiSquareReport(
         statistic=float(statistic),
@@ -95,7 +95,7 @@ def chi_square_test(counts: Mapping[int, int], target: Distribution) -> ChiSquar
 
 def entropy_report(dist: Distribution) -> tuple[float, float]:
     """Shannon entropy and min-entropy of a distribution, in bits."""
-    p = dist.as_array()
+    p = dist.values
     nz = p[p > 0.0]
     shannon = float(-(nz * np.log2(nz)).sum())
     min_entropy = float(-np.log2(p.max()))
@@ -151,7 +151,7 @@ def robustness_sweep(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
 
-    base = schedule.to_array()
+    base = schedule.values
     points: list[tuple[float, float, float]] = []
     for i, d in enumerate(mags):
         fids = np.empty(trials)

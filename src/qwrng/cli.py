@@ -140,7 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"sample index {outcomes.max()} does not fit a {steps}-step walk"
         )
     counts = counts_by_position(outcomes, steps)
-    empirical = Distribution(steps, {m: c / outcomes.size for m, c in counts.items()})
+    empirical = Distribution(steps, counts / outcomes.size)
     chi2 = chi_square_test(counts, target)
     shannon, min_entropy = entropy_report(empirical)
 

@@ -13,12 +13,12 @@ import os
 import re
 from itertools import repeat, starmap
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import sampling
-from .walk import CoinSchedule, Distribution, support_positions
+from .walk import CoinSchedule, Distribution, schedule_keys
 
 #: How far a user-supplied target may deviate from unit mass before it is
 #: rejected instead of renormalized.
@@ -82,14 +82,35 @@ def _columns(text: str, kinds: Sequence[type], layout: str, skip: int = 0) -> li
         raise ValueError(f"line {lineno}: expected {layout}, got {line!r}")
 
 
-def _mapping(keys: list, values: list, what: str) -> dict:
-    """``dict(zip(keys, values))``, rejecting a key that occurs twice."""
-    mapping = dict(zip(keys, values))
-    if len(mapping) != len(keys):
-        seen: set = set()
-        duplicate = next(key for key in keys if key in seen or seen.add(key))
-        raise ValueError(f"duplicate row for {what} {duplicate}")
-    return mapping
+def _place(
+    values: list[float],
+    slots: np.ndarray,
+    size: int,
+    mismatch: str,
+    what: str,
+    row_key: Callable[[int], object],
+    slot_key: Callable[[int], object],
+) -> np.ndarray:
+    """Float64 array of ``size`` entries holding row ``k``'s value at ``slots[k]``,
+    which is -1 for a row outside the walk.  A slot named twice is a duplicate
+    row for ``what``; an unnamed slot or a row outside the walk is reported
+    after ``mismatch`` as missing or unexpected, by the key that ``slot_key``
+    or ``row_key`` gives."""
+    hits = np.bincount(slots[slots >= 0], minlength=size)
+    twice = np.flatnonzero(hits > 1)
+    if twice.size:
+        raise ValueError(f"duplicate row for {what} {slot_key(int(twice[0]))}")
+    missing, outside = np.flatnonzero(hits == 0), np.flatnonzero(slots < 0)
+    if missing.size or outside.size:
+        missing = [slot_key(j) for j in missing[:5].tolist()]
+        extra = [row_key(k) for k in outside[:5].tolist()]
+        raise ValueError(
+            f"{mismatch} (missing {missing[:4]}{'...' * (len(missing) > 4)},"
+            f" unexpected {extra[:4]}{'...' * (len(extra) > 4)})"
+        )
+    placed = np.empty(size)
+    placed[slots] = values
+    return placed
 
 
 # --- coin schedules -------------------------------------------------------
@@ -98,11 +119,12 @@ _STEPS_RE = re.compile(r"^steps=(\d+)$")
 
 
 def schedule_to_text(schedule: CoinSchedule) -> str:
-    rows = ((t, m, r) for (t, m), r in zip(schedule.sorted_keys(), schedule.values.tolist()))
+    rows = ((t, m, r) for (t, m), r in zip(schedule_keys(schedule.steps), schedule.values.tolist()))
     return _table(f"steps={schedule.steps}", "{},{},{:.17g}", rows)
 
 
 def schedule_from_text(text: str) -> CoinSchedule:
+    """Parse a schedule file; its ``step,position,r`` rows may come in any order."""
     header = next(filter(str.strip, text.splitlines()), "").strip()
     if not header:
         raise ValueError("empty schedule file")
@@ -110,7 +132,21 @@ def schedule_from_text(text: str) -> CoinSchedule:
     if not match:
         raise ValueError(f"schedule file must start with 'steps=<n>', got {header!r}")
     t, m, r = _columns(text, (int, int, float), "'step,position,r'", skip=1)
-    return CoinSchedule(int(match.group(1)), _mapping(list(zip(t, m)), r, "(step, position)"))
+    steps = int(match.group(1))
+    size = steps * (steps + 1) // 2
+    mismatch = f"schedule key set does not match a {steps}-step walk"
+    if size > 2 * len(r):  # far too few rows: keeps the key list and the slot arithmetic small
+        raise ValueError(f"{mismatch} ({len(r)} rows for {size} entries)")
+    # numbers past int64 become object or float64 arrays; either lies outside the walk
+    tt, mm = np.array(t), np.array(m)
+    # step t covers the positions -(t-1), -(t-3), ..., t-1 from offset t(t-1)/2
+    inside = (tt >= 1) & (tt <= steps) & (mm > -tt) & (mm < tt) & ((mm + tt) % 2 == 1)
+    slots = np.where(inside, tt * (tt - 1) // 2 + (mm + tt - 1) // 2, -1).astype(np.int64)
+    values = _place(
+        r, slots, size, mismatch, "(step, position)",
+        lambda k: (t[k], m[k]), lambda j: schedule_keys(steps)[j],
+    )
+    return CoinSchedule(steps, values)
 
 
 def write_schedule(schedule: CoinSchedule, path: str | Path) -> None:
@@ -140,29 +176,26 @@ def load_target(text: str, steps: int | None = None) -> Distribution:
     positions, probs = _columns(text, (int, float), "'position,probability'", skip=has_header)
     if not positions:
         raise ValueError("no data rows found")
-    seen = _mapping(positions, probs, "position")
     if steps is None:
         steps = max(map(abs, positions))
-        if len(seen) != steps + 1:  # checked before the (maybe huge) site list is built
-            raise ValueError(
-                f"rows must cover exactly the {steps + 1} sites of a {steps}-step walk;"
-                f" {len(seen)} rows leave sites missing or unexpected"
-            )
-    expected = set(support_positions(steps))
-    if set(seen) != expected:
-        missing = sorted(expected - set(seen))
-        extra = sorted(set(seen) - expected)
-        raise ValueError(
-            f"rows must cover exactly the sites {sorted(expected)};"
-            f" missing {missing}, unexpected {extra}"
-        )
-    for pos, prob in seen.items():
-        if not math.isfinite(prob) or prob < 0.0:
-            raise ValueError(f"probability at position {pos} is {prob}, outside [0, 1]")
-    total = math.fsum(seen.values())
+    mismatch = f"rows must cover exactly the {steps + 1} sites of a {steps}-step walk"
+    if steps + 1 > 2 * len(positions):  # far too few rows; checked before the sites are counted
+        raise ValueError(f"{mismatch}; {len(positions)} rows leave sites missing or unexpected")
+    pos = np.array(positions)  # as in schedule_from_text
+    inside = (pos >= -steps) & (pos <= steps) & ((pos + steps) % 2 == 0)
+    slots = np.where(inside, (pos + steps) // 2, -1).astype(np.int64)
+    placed = _place(
+        probs, slots, steps + 1, mismatch, "position",
+        positions.__getitem__, lambda j: 2 * j - steps,
+    )
+    bad = np.flatnonzero(~(np.isfinite(placed) & (placed >= 0.0)))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"probability at position {2 * j - steps} is {placed[j]}, outside [0, 1]")
+    total = math.fsum(placed.tolist())
     if abs(total - 1.0) > LOAD_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}; expected 1 within {LOAD_SUM_TOL}")
-    return Distribution(steps, {pos: prob / total for pos, prob in seen.items()})
+    return Distribution(steps, placed / total)
 
 
 def write_distribution(dist: Distribution, path: str | Path) -> None:

@@ -59,10 +59,9 @@ def dense_coin_layer(schedule: CoinSchedule, step_index: int) -> np.ndarray:
     n = schedule.steps
     dim = 2 * (2 * n + 1)
     c = np.eye(dim, dtype=np.complex128)
-    for m, ratio in schedule.step_ratios(step_index).items():
-        block = coin_from_ratio(ratio)
+    for m in support_positions(step_index - 1):
         i = _index(m, 0, n)
-        c[i : i + 2, i : i + 2] = block
+        c[i : i + 2, i : i + 2] = coin_from_ratio(schedule.ratios[(step_index, m)])
     return c
 
 
@@ -90,26 +89,26 @@ def dense_walk(schedule: CoinSchedule, coin_vector: Iterable[complex]) -> Distri
     state[_index(0, 1, n)] = vec[1]
     for u in dense_step_unitaries(schedule):
         state = u @ state
-    probs = {}
-    for x in range(-n, n + 1):
-        p = abs(state[_index(x, 0, n)]) ** 2 + abs(state[_index(x, 1, n)]) ** 2
-        probs[x] = float(p)
-    off_support = sum(p for x, p in probs.items() if x not in set(support_positions(n)))
+    probs = [
+        float(abs(state[_index(x, 0, n)]) ** 2 + abs(state[_index(x, 1, n)]) ** 2)
+        for x in range(-n, n + 1)
+    ]
+    off_support = sum(probs[1::2])  # the sites of the wrong parity, -n + 1, -n + 3, ...
     if off_support > 1e-12:
         raise AssertionError(f"dense walk leaked {off_support} probability off the parity grid")
-    return Distribution(n, {m: probs[m] for m in support_positions(n)})
+    return Distribution(n, probs[::2])
 
 
 def _loss_at(
     schedule: CoinSchedule,
-    key: tuple[int, int],
+    k: int,
     value: float,
     initial: WalkState,
     target: Distribution,
 ) -> float:
-    ratios = dict(schedule.ratios)
-    ratios[key] = value
-    shifted = CoinSchedule(schedule.steps, ratios)
+    values = schedule.to_array()
+    values[k] = value
+    shifted = CoinSchedule(schedule.steps, values)
     return mse_loss(measure(run_walk(initial, shifted)), target)
 
 
@@ -118,8 +117,8 @@ def fd_gradient(
     initial: WalkState,
     target: Distribution,
     h: float = 1e-5,
-) -> dict[tuple[int, int], float]:
-    """Finite-difference loss gradient, entry by entry.
+) -> np.ndarray:
+    """Finite-difference loss gradient, entry by entry, in schedule order.
 
     Central differences in the interior; where a ratio sits within ``h`` of
     0 or 1 a second-order one-sided formula keeps every evaluation inside
@@ -129,21 +128,20 @@ def fd_gradient(
     # ratio) inside the valid range
     if not (0.0 < h <= 1.0 / 3.0):
         raise ValueError(f"step size must lie in (0, 1/3], got {h}")
-    grad: dict[tuple[int, int], float] = {}
-    for key in schedule.sorted_keys():
-        r = schedule.ratios[key]
+    grad = np.empty(schedule.values.size)
+    for k, r in enumerate(schedule.values.tolist()):
         if r < h:  # forward: (-3f(r) + 4f(r+h) - f(r+2h)) / 2h
-            f0 = _loss_at(schedule, key, r, initial, target)
-            f1 = _loss_at(schedule, key, r + h, initial, target)
-            f2 = _loss_at(schedule, key, r + 2 * h, initial, target)
-            grad[key] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+            f0 = _loss_at(schedule, k, r, initial, target)
+            f1 = _loss_at(schedule, k, r + h, initial, target)
+            f2 = _loss_at(schedule, k, r + 2 * h, initial, target)
+            grad[k] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
         elif r > 1.0 - h:  # backward mirror of the above
-            f0 = _loss_at(schedule, key, r, initial, target)
-            f1 = _loss_at(schedule, key, r - h, initial, target)
-            f2 = _loss_at(schedule, key, r - 2 * h, initial, target)
-            grad[key] = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+            f0 = _loss_at(schedule, k, r, initial, target)
+            f1 = _loss_at(schedule, k, r - h, initial, target)
+            f2 = _loss_at(schedule, k, r - 2 * h, initial, target)
+            grad[k] = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
         else:
-            fp = _loss_at(schedule, key, r + h, initial, target)
-            fm = _loss_at(schedule, key, r - h, initial, target)
-            grad[key] = (fp - fm) / (2.0 * h)
+            fp = _loss_at(schedule, k, r + h, initial, target)
+            fm = _loss_at(schedule, k, r - h, initial, target)
+            grad[k] = (fp - fm) / (2.0 * h)
     return grad

@@ -186,19 +186,18 @@ def unpack_bits(buf: bytes, padding_bits: int) -> np.ndarray:
     return bits[: bits.size - padding_bits]
 
 
-def counts_by_position(outcomes: np.ndarray, steps: int) -> dict[int, int]:
-    """Tally outcome indices into counts per lattice position."""
+def counts_by_position(outcomes: np.ndarray, steps: int) -> np.ndarray:
+    """Tally outcome indices into int64 counts per site, in site order."""
     outcomes = np.asarray(outcomes, dtype=np.int64)
-    sites = support_positions(steps)
-    check_outcomes(outcomes, len(sites))
-    counts = np.bincount(outcomes, minlength=len(sites))
-    return {m: int(c) for m, c in zip(sites, counts)}
+    sites = len(support_positions(steps))
+    check_outcomes(outcomes, sites)
+    return np.bincount(outcomes, minlength=sites)
 
 
 def empirical_distribution(outcomes: np.ndarray, steps: int) -> Distribution:
     """Relative frequencies of a stream as a distribution on the support."""
     counts = counts_by_position(outcomes, steps)
-    total = sum(counts.values())
+    total = counts.sum()
     if total == 0:
         raise ValueError("cannot build an empirical distribution from zero samples")
-    return Distribution(steps, {m: c / total for m, c in counts.items()})
+    return Distribution(steps, counts / total)

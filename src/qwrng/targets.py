@@ -1,12 +1,11 @@
 """Target distributions: uniform and discretized Gaussian.  Target CSV files
-are read by :func:`qwrng.fileio.load_target`, also importable here under its
-former name ``load_target_auto``."""
+are read by :func:`qwrng.fileio.load_target`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fileio import load_target as load_target_auto, read_distribution
+from .fileio import read_distribution
 from .walk import Distribution, support_positions
 
 
@@ -14,9 +13,7 @@ def uniform_target(steps: int) -> Distribution:
     """Equal probability on each of the ``steps + 1`` reachable sites."""
     if steps < 1:
         raise ValueError(f"a uniform target needs at least one step, got {steps}")
-    sites = support_positions(steps)
-    p = 1.0 / len(sites)
-    return Distribution(steps, {m: p for m in sites})
+    return Distribution(steps, np.full(steps + 1, 1.0 / (steps + 1)))
 
 
 def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribution:
@@ -35,7 +32,7 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
-    return Distribution.from_array(steps, w)
+    return Distribution(steps, w)
 
 
 def target_from_spec(spec: str, steps: int | None) -> Distribution:

@@ -14,7 +14,7 @@ adjoint sweep over the kept states and the update, clipped to [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def fidelity(y: Distribution, target: Distribution) -> float:
 
 
 def _gradient(forward, residual: np.ndarray) -> np.ndarray:
-    """Adjoint sweep over a forward pass: d(loss)/d(ratio) in sorted-key order.
+    """Adjoint sweep over a forward pass: d(loss)/d(ratio) in schedule order.
 
     ``residual`` is output minus target probability.  Each step back undoes
     the shift and applies the (symmetric) coin.  At r = 0 (1) the unbounded
@@ -81,27 +81,21 @@ def _gradient(forward, residual: np.ndarray) -> np.ndarray:
     return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(0)
 
 
-def loss_gradient(
-    schedule: CoinSchedule, initial: WalkState, target: Distribution
-) -> dict[tuple[int, int], float]:
-    """Exact partial derivatives of the loss for every schedule entry."""
+def loss_gradient(schedule: CoinSchedule, initial: WalkState, target: Distribution) -> np.ndarray:
+    """Exact partial derivatives of the loss, one per ratio in schedule order."""
     _check_same_support(schedule, target)
     forward, probs = _forward(schedule.values, schedule.steps, initial)
-    return dict(zip(schedule.sorted_keys(), _gradient(forward, probs - target.values).tolist()))
+    return _gradient(forward, probs - target.values)
 
 
-def apply_update(
-    schedule: CoinSchedule,
-    grad: Mapping[tuple[int, int], float],
-    eta: float,
-) -> CoinSchedule:
+def apply_update(schedule: CoinSchedule, grad: np.ndarray, eta: float) -> CoinSchedule:
     """Descend one step: r <- r - eta * grad, clipped to [0, 1]."""
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"learning rate must lie in (0, 1], got {eta}")
-    if set(grad) != set(schedule.ratios):
-        raise ValueError("gradient key set does not match the schedule")
-    g = np.array([grad[key] for key in schedule.sorted_keys()], dtype=np.float64)
-    return schedule.with_array(np.clip(schedule.values - eta * g, 0.0, 1.0))
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != schedule.values.shape:
+        raise ValueError(f"gradient has shape {grad.shape}, expected {schedule.values.shape}")
+    return CoinSchedule(schedule.steps, np.clip(schedule.values - eta * grad, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

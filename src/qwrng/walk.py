@@ -133,25 +133,14 @@ def _frozen_array(values: Iterable[float], count: int, what: str, hi: float):
 class CoinSchedule:
     """Trainable grid of ``n*(n+1)/2`` coin bias ratios, one per (step, position).
 
-    ``ratios`` is a mapping keyed by (step, position) or a flat sequence in
-    sorted-key order, held as the read-only float64 array ``values``; the
-    ratios of step ``t`` start at offset ``t*(t-1)/2``.
+    ``ratios`` is a flat sequence in :func:`schedule_keys` order, held as the
+    read-only float64 array ``values``; the ratios of step ``t`` start at
+    offset ``t*(t-1)/2``.  ``.ratios`` is a read-only keyed view of it.
     """
 
-    def __init__(self, steps: int, ratios: Mapping | Iterable[float]) -> None:
+    def __init__(self, steps: int, ratios: Iterable[float]) -> None:
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
-        if isinstance(ratios, Mapping):
-            expected = schedule_keys(steps)
-            keys, want = set(ratios), set(expected)
-            if keys != want:
-                missing, extra = sorted(want - keys), sorted(keys - want)
-                raise ValueError(
-                    f"schedule key set does not match a {steps}-step walk"
-                    f" (missing {missing[:4]}{'...' if len(missing) > 4 else ''},"
-                    f" unexpected {extra[:4]}{'...' if len(extra) > 4 else ''})"
-                )
-            ratios = [ratios[key] for key in expected]
         values, bad = _frozen_array(ratios, _triangle(steps), "ratios", 1.0)
         if bad is not None:
             key, r = schedule_keys(steps)[bad], float(values[bad])
@@ -174,23 +163,16 @@ class CoinSchedule:
         """Read-only view: (step, position) -> ratio."""
         return MappingProxyType(dict(zip(schedule_keys(self.steps), self.values.tolist())))
 
-    def step_ratios(self, step_index: int) -> dict[int, float]:
-        """Ratios for one step, keyed by position."""
-        return {m: self.ratios[(step_index, m)] for m in support_positions(step_index - 1)}
-
-    def sorted_keys(self) -> list[tuple[int, int]]:
-        return schedule_keys(self.steps)
-
     def to_array(self) -> np.ndarray:
-        """Ratios flattened in sorted (step, position) order (a writable copy)."""
+        """The ratios in :func:`schedule_keys` order (a writable copy)."""
         return self.values.copy()
 
     def with_array(self, values: Iterable[float]) -> "CoinSchedule":
-        """New schedule with ratios replaced from a flat array (sorted-key order)."""
+        """New schedule with ratios replaced from a flat array (:func:`schedule_keys` order)."""
         return CoinSchedule(self.steps, values)
 
     def __repr__(self) -> str:
-        return f"CoinSchedule(steps={self.steps}, ratios={dict(self.ratios)!r})"
+        return f"CoinSchedule(steps={self.steps}, ratios={self.values.tolist()!r})"
 
 
 class WalkState:
@@ -280,18 +262,13 @@ class Distribution:
     """Probabilities over the full parity-correct grid ``-steps, ..., steps``;
     unreachable outcomes carry probability zero rather than being absent.
 
-    ``probs`` is a mapping keyed by site or a flat sequence in site order,
-    held as the read-only float64 array ``values``.
+    ``probs`` is a flat sequence in site order (ascending position), held as
+    the read-only float64 array ``values``.  ``.probs`` is a read-only view
+    keyed by position.
     """
 
-    def __init__(self, steps: int, probs: Mapping[int, float] | Iterable[float]) -> None:
+    def __init__(self, steps: int, probs: Iterable[float]) -> None:
         sites = support_positions(steps)
-        if isinstance(probs, Mapping):
-            if set(probs) != set(sites):
-                raise ValueError(
-                    f"distribution support must be exactly {sites}, got {sorted(probs)}"
-                )
-            probs = [probs[m] for m in sites]
         values, bad = _frozen_array(probs, len(sites), "probabilities", 1.0 + NORM_TOL)
         if bad is not None:
             m, p = sites[bad], float(values[bad])
@@ -312,10 +289,6 @@ class Distribution:
     def as_array(self) -> np.ndarray:
         """Probabilities ordered by ascending position (a writable copy)."""
         return self.values.copy()
-
-    @classmethod
-    def from_array(cls, steps: int, values: Iterable[float]) -> "Distribution":
-        return cls(steps, values)
 
 
 def measure(state: WalkState) -> Distribution:

@@ -81,7 +81,7 @@ def test_gate_2_gradient_correctness():
         target = random_distribution(rng, 4)
         analytic = loss_gradient(sched, state, target)
         numeric = fd_gradient(sched, state, target, h=1e-5)
-        worst = max(worst, max(abs(analytic[k] - numeric[k]) for k in analytic))
+        worst = max(worst, np.max(np.abs(analytic - numeric)))
     # second-order decay: halving h should divide the error by about four
     ratios = []
     for _ in range(20):
@@ -90,7 +90,7 @@ def test_gate_2_gradient_correctness():
         target = random_distribution(rng, 4)
         exact = loss_gradient(sched, state, target)
         errs = [
-            max(abs(exact[k] - fd_gradient(sched, state, target, h=h)[k]) for k in exact)
+            np.max(np.abs(exact - fd_gradient(sched, state, target, h=h)))
             for h in (1e-2, 5e-3)
         ]
         if errs[1] > 1e-12:
@@ -181,7 +181,7 @@ def test_gate_6_end_to_end_rng(trained_uniform_full):
         stream = draw(build_sampler(source, seed), 10**6)
         counts = np.bincount(stream.outcomes, minlength=5)
         pooled += counts
-        emp = qwrng.Distribution.from_array(4, counts / counts.sum())
+        emp = qwrng.Distribution(4, counts / counts.sum())
         f = fidelity(emp, target)
         stat = float(((counts - expected) ** 2 / expected).sum())
         fids.append(f)
@@ -192,7 +192,7 @@ def test_gate_6_end_to_end_rng(trained_uniform_full):
         joint += f_ok and c_ok
     elapsed = time.perf_counter() - t0
     pooled_fid = fidelity(
-        qwrng.Distribution.from_array(4, pooled / pooled.sum()), target
+        qwrng.Distribution(4, pooled / pooled.sum()), target
     )
     ok = joint >= 95 and elapsed < 30.0
     detail = (

@@ -35,7 +35,7 @@ class TestFloatFormat:
 
 class TestScheduleFiles:
     def test_text_layout(self):
-        sched = CoinSchedule(2, {(1, 0): 0.5, (2, -1): 0.25, (2, 1): 1.0})
+        sched = CoinSchedule(2, [0.5, 0.25, 1.0])
         text = schedule_to_text(sched)
         assert text.splitlines()[0] == "steps=2"
         assert text.splitlines()[1] == "1,0,0.5"
@@ -86,7 +86,7 @@ class TestDistributionFiles:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["-2", "0", "2"]
 
     def test_read_write_round_trip(self, tmp_path):
-        d = Distribution.from_array(3, [0.125, 0.375, 0.375, 0.125])
+        d = Distribution(3, [0.125, 0.375, 0.375, 0.125])
         path = tmp_path / "d.csv"
         write_distribution(d, path)
         again = read_distribution(path, 3)

@@ -38,7 +38,7 @@ def _schedule() -> CoinSchedule:
 
 
 def _distribution() -> Distribution:
-    return Distribution.from_array(8, [k / 45 for k in range(1, 10)])
+    return Distribution(8, [k / 45 for k in range(1, 10)])
 
 
 TEXTS = {
@@ -74,7 +74,14 @@ def cli_chain(tmp_path_factory):
     idx, bits = root / "s.txt", root / "s.bits"
     assert main(base + ["--format", "indices", "--out", str(idx)]) == 0
     assert main(base + ["--format", "bits", "--out", str(bits)]) == 0
+    report, quantized = root / "a.csv", root / "aq.csv"
+    analyze = ["analyze", "--samples", str(idx), "--target", "uniform", "--steps", "4"]
+    assert main(analyze + ["--out", str(report)]) == 0
+    extra = ["--schedule", str(sched), "--quantize-deg", "0.25"]
+    assert main(analyze + extra + ["--out", str(quantized)]) == 0
     return {
+        "analyze": report,
+        "analyze.quantized": quantized,
         "schedule": sched,
         "trace": trace,
         "indices": idx,
@@ -84,6 +91,8 @@ def cli_chain(tmp_path_factory):
 
 
 CLI_DIGESTS = {
+    "analyze": "3e680810de676d5b4cfd153e7ff1b68d0865bf0cf415af4cf7c99f23625c28ee",
+    "analyze.quantized": "df114c4a16e162b6df7ae68271c1628be0b3a85b6161e6a116c8b8fb0e77e5c7",
     "bits": "34fde100953d35c791d890f21744befc7c8c488aa60221ff0ed269ffabae2643",
     "bits.meta": "3101812f602c58a4bba84e4fea9fe1c94806c33f6ee7d7bd4b342f6cbacd85bf",
     "indices": "12260663f94d8c6870302db7ae0643a107e6a5ec90e3845a6e4f9dc00675bca2",

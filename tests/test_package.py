@@ -1,6 +1,11 @@
-"""The package surface: ``qwrng.__all__`` lists exactly the public names it binds."""
+"""The package surface: ``qwrng.__all__`` lists exactly the public names it
+binds, and the names the benchmark's tracer and workloads call still exist."""
 
+import importlib
+import importlib.util
+import inspect
 import types
+from pathlib import Path
 
 import qwrng
 
@@ -14,3 +19,39 @@ def test_all_matches_the_bound_public_names():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert set(names) == bound
+
+
+def _load_tracer():
+    """The benchmark's span tracer, loaded by path (it imports only the standard library)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_still_fits_the_api():
+    # a shim or probe that no longer fits is skipped silently, and the
+    # per-layer metrics built on it read 0 or go missing
+    tracer = _load_tracer()
+    for span, (fn, _) in tracer.SHIMS.items():
+        home = importlib.import_module(f"qwrng.{span.split('.')[0]}")
+        assert callable(getattr(home, fn, None)), span
+    probed = {
+        ("training", "loss_gradient"): ("schedule", 0),
+        ("training", "apply_update"): ("schedule", 0),
+        ("walk", "run_walk"): ("schedule", 1),
+        ("sampling", "draw"): ("count", 1),
+        ("sampling", "encode_bits"): ("stream", 0),
+    }
+    for (module, fn), (name, index) in probed.items():
+        function = getattr(importlib.import_module(f"qwrng.{module}"), fn)
+        params = list(inspect.signature(function).parameters)
+        assert params[index] == name, f"{module}.{fn}"
+    # the workloads build and check their inputs through these
+    for cls, method in [
+        (qwrng.CoinSchedule, "with_array"),
+        (qwrng.CoinSchedule, "to_array"),
+        (qwrng.Distribution, "as_array"),
+    ]:
+        assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"

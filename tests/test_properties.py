@@ -61,7 +61,7 @@ def schedules(draw, max_steps, ratios):
 @st.composite
 def distributions(draw, steps):
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=steps + 1, max_size=steps + 1)))
-    return Distribution.from_array(steps, w / w.sum())
+    return Distribution(steps, w / w.sum())
 
 
 EDGE_RATIOS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -84,7 +84,7 @@ def test_adjoint_gradient_matches_finite_differences(data, sched, v):
     state = initial_state(v)
     analytic = loss_gradient(sched, state, target)
     numeric = fd_gradient(sched, state, target, h=1e-5)
-    assert max(abs(analytic[k] - numeric[k]) for k in analytic) <= 1e-6
+    assert np.max(np.abs(analytic - numeric)) <= 1e-6
 
 
 @PROPERTY
@@ -108,6 +108,68 @@ def test_distribution_text_round_trips(data, steps):
     assert again.values.tolist() == [p / total for p in dist.values.tolist()]
     if total == 1.0:
         assert distribution_to_text(again) == text
+
+
+@PROPERTY
+@given(st.data(), schedules(8, EDGE_RATIOS), st.integers(1, 12))
+def test_keyed_rows_read_back_in_any_order(data, sched, steps):
+    header, *rows = schedule_to_text(sched).splitlines()
+    shuffled = "\n".join([header, *data.draw(st.permutations(rows))])
+    assert np.array_equal(schedule_from_text(shuffled).values, sched.values)
+    text = distribution_to_text(data.draw(distributions(steps)))
+    header, *rows = text.splitlines()
+    shuffled = "\n".join([header, *data.draw(st.permutations(rows))])
+    for given_steps in (None, steps):
+        assert np.array_equal(load_target(shuffled, given_steps).values, load_target(text).values)
+
+
+@st.composite
+def outside_schedule_keys(draw, steps):
+    """A (step, position) key off a ``steps``-step schedule: past the cone
+    (|m| >= t), of the wrong parity, at t = 0 or after the last step."""
+    t = draw(st.integers(1, steps))
+    m = draw(st.integers(0, steps))
+    return draw(st.sampled_from([
+        (t, draw(st.sampled_from([-1, 1])) * (t + 1 + 2 * m)),
+        (t + 1, -t + 1 + 2 * min(m, t - 1)),
+        (0, m),
+        (steps + 1 + m, 0),
+    ]))
+
+
+def _corrupted(data, rows, kind, outside):
+    """``rows`` with one row dropped, one duplicated or ``outside`` added."""
+    rows = list(rows)
+    k = data.draw(st.integers(0, len(rows) - 1))
+    if kind == "dropped":
+        del rows[k]
+    else:
+        extra = rows[k] if kind == "duplicated" else outside
+        rows.insert(data.draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 8), st.sampled_from(["dropped", "duplicated", "outside"]))
+def test_schedule_reader_rejects_a_wrong_key_set(data, steps, kind):
+    header, *rows = schedule_to_text(CoinSchedule.constant(steps)).splitlines()
+    t, m = data.draw(outside_schedule_keys(steps))
+    bad = _corrupted(data, rows, kind, f"{t},{m},0.5")
+    wording = "duplicate" if kind == "duplicated" else "key set"
+    with pytest.raises(ValueError, match=wording):
+        schedule_from_text("\n".join([header, *bad]))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 12), st.sampled_from(["dropped", "duplicated", "outside"]))
+def test_target_reader_rejects_a_wrong_site_set(data, steps, kind):
+    header, *rows = distribution_to_text(uniform_target(steps)).splitlines()
+    # past either end, or of the wrong parity
+    m = data.draw(st.sampled_from([steps + 2, -steps - 2, 1 - steps]))
+    bad = _corrupted(data, rows, kind, f"{m},0")
+    wording = {"dropped": "missing", "duplicated": "duplicate", "outside": "unexpected"}[kind]
+    with pytest.raises(ValueError, match=wording):
+        load_target("\n".join([header, *bad]), steps)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,6 @@ import pytest
 
 from qwrng import gaussian_target, load_target, target_from_spec, uniform_target
 from qwrng.fileio import distribution_to_text
-from qwrng.targets import load_target_auto
 
 
 class TestUniform:
@@ -128,13 +127,13 @@ class TestLoadTarget:
             w /= w.sum()
             from qwrng import Distribution
 
-            d = Distribution.from_array(n, w)
+            d = Distribution(n, w)
             again = load_target(distribution_to_text(d), n)
             assert np.max(np.abs(again.as_array() - d.as_array())) <= 1e-12
 
     def test_auto_steps_inference(self):
         text = "-2,0.25\n0,0.5\n2,0.25\n"
-        assert load_target_auto(text).steps == 2
+        assert load_target(text).steps == 2
 
 
 class TestTargetSpec:

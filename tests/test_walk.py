@@ -14,7 +14,9 @@ from qwrng import (
     measure,
     run_walk,
 )
+from qwrng.fileio import schedule_from_text
 from qwrng.oracle import dense_walk
+from qwrng.walk import schedule_keys
 
 from util import random_coin_vector, random_schedule
 
@@ -199,7 +201,7 @@ class TestRunWalk:
 
     def test_zero_steps_returns_initial(self):
         s = initial_state((0.0, 1.0))
-        out = run_walk(s, CoinSchedule(0, {}))
+        out = run_walk(s, CoinSchedule(0, []))
         assert out.step == 0
         assert np.allclose(out.amplitudes[0], s.amplitudes[0])
 
@@ -267,9 +269,7 @@ class TestWalkInvariants:
             n = int(rng.integers(1, 6))
             sched = random_schedule(rng, n)
             v = random_coin_vector(rng)
-            mirrored = CoinSchedule(
-                n, {(t, -m): r for (t, m), r in sched.ratios.items()}
-            )
+            mirrored = CoinSchedule(n, [sched.ratios[(t, -m)] for t, m in schedule_keys(n)])
             dist = measure(run_walk(initial_state(v), sched))
             dist_m = measure(run_walk(initial_state((v[1], -v[0])), mirrored))
             for m in dist.support():
@@ -283,7 +283,7 @@ class TestWalkInvariants:
         right = qwrng.NAMED_COIN_VECTORS["circ-right"]
         for _ in range(20):
             sched = random_schedule(rng, 4)
-            mirrored = CoinSchedule(4, {(t, -m): r for (t, m), r in sched.ratios.items()})
+            mirrored = CoinSchedule(4, [sched.ratios[(t, -m)] for t, m in schedule_keys(4)])
             dist = measure(run_walk(initial_state(left), sched))
             dist_m = measure(run_walk(initial_state((left[1], left[0])), mirrored))
             for m in dist.support():
@@ -296,16 +296,19 @@ class TestWalkInvariants:
 
 class TestCoinSchedule:
     def test_key_set_enforced(self):
+        # keyed (step, position) rows become a schedule only through the file reader
         with pytest.raises(ValueError, match="key set"):
-            CoinSchedule(2, {(1, 0): 0.5})
-        good = {(1, 0): 0.5, (2, -1): 0.5, (2, 1): 0.5}
-        CoinSchedule(2, good)
+            schedule_from_text("steps=2\n1,0,0.5\n")
+        good = "steps=2\n1,0,0.5\n2,-1,0.5\n2,1,0.5\n"
+        schedule_from_text(good)
         with pytest.raises(ValueError, match="key set"):
-            CoinSchedule(2, {**good, (3, 0): 0.5})
+            schedule_from_text(good + "3,0,0.5\n")
+        with pytest.raises(TypeError):  # the constructor takes no mapping
+            CoinSchedule(2, {(1, 0): 0.5, (2, -1): 0.5, (2, 1): 0.5})
 
     def test_ratio_range_enforced(self):
         with pytest.raises(ValueError, match="outside"):
-            CoinSchedule(1, {(1, 0): 1.5})
+            CoinSchedule(1, [1.5])
 
     def test_entry_count_is_triangular(self):
         assert len(CoinSchedule.constant(4).ratios) == 10
@@ -327,7 +330,7 @@ class TestCoinSchedule:
     def test_random_matches_one_scalar_draw_per_key(self, steps, seed):
         # rand:SEED inits must keep drawing the stream they always drew
         rng = np.random.default_rng(np.random.PCG64(seed))
-        keys = CoinSchedule.constant(steps).sorted_keys()
+        keys = schedule_keys(steps)
         scalar = np.array([rng.uniform(0.0, 1.0) for _ in keys])
         assert np.array_equal(CoinSchedule.random(steps, seed).to_array(), scalar)
 
@@ -339,7 +342,7 @@ class TestCoinSchedule:
             with pytest.raises(ValueError, match=rf"\(2, 1\) is {shown}, outside \[0, 1\]"):
                 CoinSchedule(2, values)
         with pytest.raises(ValueError, match="outside"):
-            CoinSchedule(1, {(1, 0): float("nan")})
+            CoinSchedule(1, [float("nan")])
         with pytest.raises(ValueError, match="expected 3 ratios, got 2"):
             CoinSchedule(2, [0.5, 0.5])
 
@@ -351,29 +354,29 @@ class TestCoinSchedule:
             sched.values[0] = 0.5
         sched.to_array()[:] = 0.5  # a copy, not the schedule's storage
         assert np.array_equal(sched.values, CoinSchedule.random(3, 1).values)
-        dist = Distribution.from_array(1, [0.25, 0.75])
+        dist = Distribution(1, [0.25, 0.75])
         with pytest.raises(TypeError):
             dist.probs[-1] = 0.5
 
 
 class TestDistribution:
     def test_support_must_be_exact(self):
-        with pytest.raises(ValueError, match="support"):
-            Distribution(2, {-2: 0.5, 2: 0.5})
+        with pytest.raises(ValueError, match="expected 3 probabilities, got 2"):
+            Distribution(2, [0.5, 0.5])
 
     def test_mass_must_total_one(self):
         with pytest.raises(ValueError, match="sum"):
-            Distribution(2, {-2: 0.5, 0: 0.1, 2: 0.1})
+            Distribution(2, [0.5, 0.1, 0.1])
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            Distribution(2, {-2: -0.1, 0: 0.6, 2: 0.5})
+            Distribution(2, [-0.1, 0.6, 0.5])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match=r"position -1 is nan, outside \[0, 1\]"):
-            Distribution.from_array(1, [float("nan"), 1.0])
+            Distribution(1, [float("nan"), 1.0])
 
     def test_array_round_trip(self):
-        d = Distribution.from_array(3, [0.1, 0.2, 0.3, 0.4])
+        d = Distribution(3, [0.1, 0.2, 0.3, 0.4])
         assert d.support() == [-3, -1, 1, 3]
         assert np.allclose(d.as_array(), [0.1, 0.2, 0.3, 0.4])

@@ -13,14 +13,15 @@ def random_coin_vector(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_schedule(rng: np.random.Generator, steps: int, lo: float = 0.0, hi: float = 1.0) -> qwrng.CoinSchedule:
-    keys = qwrng.CoinSchedule.constant(steps).sorted_keys()
-    return qwrng.CoinSchedule(steps, {k: float(rng.uniform(lo, hi)) for k in keys})
+    # one scalar draw per ratio, so seeded tests keep their data
+    size = steps * (steps + 1) // 2
+    return qwrng.CoinSchedule(steps, [float(rng.uniform(lo, hi)) for _ in range(size)])
 
 
 def random_distribution(rng: np.random.Generator, steps: int) -> qwrng.Distribution:
     w = rng.uniform(0.05, 1.0, size=steps + 1)
     w /= w.sum()
-    return qwrng.Distribution.from_array(steps, w)
+    return qwrng.Distribution(steps, w)
 
 
 def first_iteration_reaching(report: qwrng.TrainReport, goal: float) -> int | None:
