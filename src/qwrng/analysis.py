@@ -59,33 +59,34 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
     (as :func:`qwrng.counts_by_position` returns them).  The p-value is the
     regularized upper incomplete gamma function at (dof/2, statistic/2).
     """
-    sites = target.support()
+    sites = target.steps + 1
     observed = np.asarray(counts, dtype=np.int64)
-    if observed.shape != (len(sites),):
+    if observed.shape != (sites,):
         raise ValueError(
-            f"expected {len(sites)} counts, one per site of the target support, got {observed.size}"
+            f"expected {sites} counts, one per site of the target support, got {observed.size}"
         )
     if observed.min() < 0:
         raise ValueError("counts must be non-negative")
     total = int(observed.sum())
     if total < 1:
         raise ValueError("chi-square test needs at least one observation")
-    if total < 5 * len(sites):
+    if total < 5 * sites:
         warnings.warn(
-            f"only {total} observations over {len(sites)} sites;"
+            f"only {total} observations over {sites} sites;"
             " the chi-square approximation may be poor",
             stacklevel=2,
         )
     # summed term by term in site order over Python floats, so reports keep their bytes
     statistic = 0.0
-    for m, o, p in zip(sites, observed.tolist(), target.values.tolist()):
+    for j, (o, p) in enumerate(zip(observed.tolist(), target.values.tolist())):
         expected = total * p
         if expected == 0.0:
             if o:
+                m = 2 * j - target.steps
                 raise ValueError(f"position {m} has zero expected count but {o} observations")
             continue
         statistic += (o - expected) ** 2 / expected
-    dof = len(sites) - 1
+    dof = target.steps
     return ChiSquareReport(
         statistic=float(statistic),
         dof=dof,

@@ -18,7 +18,7 @@ from .analysis import chi_square_test, entropy_report, quantize_schedule
 from .sampling import build_sampler, counts_by_position, draw
 from .targets import target_from_spec
 from .training import TrainConfig, fidelity, train
-from .walk import NAMED_COIN_VECTORS, Distribution, initial_state, measure, run_walk
+from .walk import NAMED_COIN_VECTORS, CoinSchedule, Distribution, initial_state, measure, run_walk
 
 #: Coin state used for training and schedule-level analysis.  For real
 #: (ratio-parameterized) schedules the two circular states produce the same
@@ -64,30 +64,33 @@ def _parse_coin_vector(text: str) -> tuple[complex, complex]:
     raise ValueError(f"unknown initial state {text!r} (use {names} or custom:...)")
 
 
-def _parse_init(text: str) -> tuple[float | None, int | None]:
-    """Decode const:R0 / rand:SEED into (init_ratio, init_seed)."""
+def _parse_init(text: str) -> dict[str, float | int]:
+    """Decode const:R0 / rand:SEED into the matching :class:`TrainConfig` field."""
     if text.startswith("const:"):
         try:
-            return float(text[len("const:"):]), None
+            return {"init_ratio": float(text[len("const:"):])}
         except ValueError:
             raise ValueError(f"expected const:<ratio>, got {text!r}") from None
     if text.startswith("rand:"):
         try:
-            return None, int(text[len("rand:"):])
+            return {"init_seed": int(text[len("rand:"):])}
         except ValueError:
             raise ValueError(f"expected rand:<seed>, got {text!r}") from None
     raise ValueError(f"unknown init spec {text!r} (use const:R0 or rand:SEED)")
 
 
+def _output(schedule: CoinSchedule, coin_vector: tuple[complex, complex]) -> Distribution:
+    """Output distribution of ``schedule`` walked from ``coin_vector``."""
+    return measure(run_walk(initial_state(coin_vector), schedule))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     target = target_from_spec(args.target, args.steps)
-    init_ratio, init_seed = _parse_init(args.init)
     config = TrainConfig(
         eta=args.eta,
         max_iters=args.max_iters,
         fidelity_goal=args.fidelity_goal,
-        init_ratio=0.5 if init_ratio is None else init_ratio,
-        init_seed=init_seed,
+        **_parse_init(args.init),
     )
     state = initial_state(NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE])
     report = train(state, target, config)
@@ -98,17 +101,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = fileio.read_schedule(args.schedule)
-    state = initial_state(_parse_coin_vector(args.initial))
-    dist = measure(run_walk(state, schedule))
-    fileio.write_distribution(dist, args.out)
+    fileio.write_distribution(_output(schedule, _parse_coin_vector(args.initial)), args.out)
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     schedule = fileio.read_schedule(args.schedule)
-    state = initial_state(_parse_coin_vector(args.initial))
-    dist = measure(run_walk(state, schedule))
-    sampler = build_sampler(dist, args.seed)
+    sampler = build_sampler(_output(schedule, _parse_coin_vector(args.initial)), args.seed)
     stream = draw(sampler, args.count)
     if args.format == "indices":
         fileio.write_indices(stream, args.out)
@@ -122,25 +121,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("--quantize-deg needs --schedule")
 
     schedule = fileio.read_schedule(args.schedule) if args.schedule else None
-    if schedule is not None:
-        steps = schedule.steps
-    elif args.steps is not None:
-        steps = args.steps
-    elif args.target.startswith("file:"):
-        steps = None  # inferred from the file rows
-    else:
+    steps = schedule.steps if schedule else args.steps  # None: inferred from a file: target
+    if schedule and args.steps not in (None, steps):
+        raise ValueError(f"--steps {args.steps} does not match the {steps}-step schedule")
+    if steps is None and not args.target.startswith("file:"):
         raise ValueError("need --steps (or --schedule) to size this target")
 
     target = target_from_spec(args.target, steps)
-    steps = target.steps
 
     outcomes = fileio.read_indices(args.samples)
-    if outcomes.max() > steps:
-        raise ValueError(
-            f"sample index {outcomes.max()} does not fit a {steps}-step walk"
-        )
-    counts = counts_by_position(outcomes, steps)
-    empirical = Distribution(steps, counts / outcomes.size)
+    counts = counts_by_position(outcomes, target.steps)
+    empirical = Distribution(target.steps, counts / outcomes.size)
     chi2 = chi_square_test(counts, target)
     shannon, min_entropy = entropy_report(empirical)
 
@@ -154,11 +145,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ("empirical_fidelity", fidelity(empirical, target)),
     ]
     if args.quantize_deg is not None:
-        state = initial_state(NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE])
-        exact = fidelity(measure(run_walk(state, schedule)), target)
-        quantized = fidelity(
-            measure(run_walk(state, quantize_schedule(schedule, args.quantize_deg))), target
-        )
+        coin_vector = NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE]
+        coarse = quantize_schedule(schedule, args.quantize_deg)
+        exact = fidelity(_output(schedule, coin_vector), target)
+        quantized = fidelity(_output(coarse, coin_vector), target)
         rows += [
             ("schedule_fidelity", exact),
             ("quantized_fidelity", quantized),
@@ -182,11 +172,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--target", required=True, help="uniform | gaussian:MU,SIGMA | file:PATH"
     )
-    p_train.add_argument("--eta", type=float, default=0.1, help="learning rate in (0,1]")
-    p_train.add_argument("--max-iters", type=int, default=500)
-    p_train.add_argument("--fidelity-goal", type=float, default=0.999)
     p_train.add_argument(
-        "--init", default="const:0.5", help="const:R0 | rand:SEED (schedule initialization)"
+        "--eta", type=float, default=TrainConfig.eta, help="learning rate in (0,1]"
+    )
+    p_train.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
+    p_train.add_argument("--fidelity-goal", type=float, default=TrainConfig.fidelity_goal)
+    p_train.add_argument(
+        "--init",
+        default=f"const:{TrainConfig.init_ratio}",
+        help="const:R0 | rand:SEED (schedule initialization)",
     )
     p_train.add_argument("--out", required=True, help="schedule file to write")
     p_train.add_argument("--log", required=True, help="per-iteration trace CSV to write")

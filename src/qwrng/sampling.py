@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .walk import Distribution, support_positions
+from .walk import Distribution, _site_count
 
 _MAX_SEED = 2**64
 #: Uniforms drawn and looked up per pass, so a draw holds no count-sized
@@ -38,15 +38,14 @@ def bit_width(n_outcomes: int) -> int:
 
 @dataclass
 class SamplerState:
-    """Inverse-CDF sampler over one distribution.
+    """Inverse-CDF sampler over one distribution: its cumulative
+    probabilities ``cdf``, one per outcome index, and the generator ``rng``.
 
     Mutable and single-owner: every :func:`draw` advances ``rng``.  Build
     independent samplers (distinct seeds) for concurrent use.
     """
 
-    positions: np.ndarray
     cdf: np.ndarray
-    seed: int
     rng: np.random.Generator = field(repr=False)
 
 
@@ -65,9 +64,10 @@ class SampleStream:
     def width(self) -> int:
         return bit_width(self.n_outcomes)
 
-    def positions(self, steps: int) -> np.ndarray:
-        """Translate outcome indices to lattice positions."""
-        return -steps + 2 * self.outcomes
+    def positions(self) -> np.ndarray:
+        """Translate outcome indices to lattice positions of the
+        ``n_outcomes - 1``-step walk they were drawn from."""
+        return 2 * self.outcomes - (self.n_outcomes - 1)
 
 
 def build_sampler(dist: Distribution, seed: int) -> SamplerState:
@@ -78,15 +78,10 @@ def build_sampler(dist: Distribution, seed: int) -> SamplerState:
     """
     if not (0 <= seed < _MAX_SEED):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    cdf = np.cumsum(dist.as_array())
+    cdf = np.cumsum(dist.values)
     cdf /= cdf[-1]
     cdf[-1] = 1.0
-    return SamplerState(
-        positions=np.array(dist.support(), dtype=np.int64),
-        cdf=cdf,
-        seed=int(seed),
-        rng=np.random.Generator(np.random.PCG64(seed)),
-    )
+    return SamplerState(cdf=cdf, rng=np.random.Generator(np.random.PCG64(seed)))
 
 
 def draw(sampler: SamplerState, count: int) -> SampleStream:
@@ -189,7 +184,7 @@ def unpack_bits(buf: bytes, padding_bits: int) -> np.ndarray:
 def counts_by_position(outcomes: np.ndarray, steps: int) -> np.ndarray:
     """Tally outcome indices into int64 counts per site, in site order."""
     outcomes = np.asarray(outcomes, dtype=np.int64)
-    sites = len(support_positions(steps))
+    sites = _site_count(steps)
     check_outcomes(outcomes, sites)
     return np.bincount(outcomes, minlength=sites)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fileio import read_distribution
-from .walk import Distribution, support_positions
+from .walk import Distribution
 
 
 def uniform_target(steps: int) -> Distribution:
@@ -28,7 +28,7 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
         raise ValueError(f"a gaussian target needs at least one step, got {steps}")
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    sites = np.array(support_positions(steps), dtype=float)
+    sites = np.arange(-steps, steps + 1, 2, dtype=float)
     log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()

@@ -150,12 +150,6 @@ class TrainReport:
         return self.iterations[-1][2]
 
 
-def _initial_schedule(steps: int, config: TrainConfig) -> CoinSchedule:
-    if config.init_seed is not None:
-        return CoinSchedule.random(steps, config.init_seed)
-    return CoinSchedule.constant(steps, config.init_ratio)
-
-
 def train(
     initial: WalkState, target: Distribution, config: TrainConfig = TrainConfig()
 ) -> TrainReport:
@@ -169,7 +163,10 @@ def train(
     if target.steps < 1:
         raise ValueError("training needs a target over at least one step")
     steps, goal = target.steps, target.values
-    ratios = _initial_schedule(steps, config).values
+    if config.init_seed is None:
+        ratios = CoinSchedule.constant(steps, config.init_ratio).values
+    else:
+        ratios = CoinSchedule.random(steps, config.init_seed).values
     trace: list[tuple[int, float, float]] = []
     k = 0
     while True:

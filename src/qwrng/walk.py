@@ -101,11 +101,16 @@ def coin_from_ratio(ratio: float) -> np.ndarray:
     return np.array([[sr, sq], [sq, -sr]], dtype=np.complex128)
 
 
-def support_positions(steps: int) -> list[int]:
-    """Positions reachable after ``steps`` steps from the origin."""
+def _site_count(steps: int) -> int:
+    """``steps + 1``: the sites reachable after ``steps`` steps from the origin."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    return list(range(-steps, steps + 1, 2))
+    return steps + 1
+
+
+def support_positions(steps: int) -> list[int]:
+    """Positions reachable after ``steps`` steps from the origin."""
+    return list(range(-steps, _site_count(steps), 2))
 
 
 def schedule_keys(steps: int) -> list[tuple[int, int]]:
@@ -116,7 +121,7 @@ def schedule_keys(steps: int) -> list[tuple[int, int]]:
 
 def _triangle(steps: int) -> int:
     """Entries of a ``steps``-step schedule; step ``t`` starts at ``_triangle(t - 1)``."""
-    return steps * (steps + 1) // 2
+    return steps * _site_count(steps) // 2
 
 
 def _frozen_array(values: Iterable[float], count: int, what: str, hi: float):
@@ -139,8 +144,6 @@ class CoinSchedule:
     """
 
     def __init__(self, steps: int, ratios: Iterable[float]) -> None:
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
         values, bad = _frozen_array(ratios, _triangle(steps), "ratios", 1.0)
         if bad is not None:
             key, r = schedule_keys(steps)[bad], float(values[bad])
@@ -268,10 +271,9 @@ class Distribution:
     """
 
     def __init__(self, steps: int, probs: Iterable[float]) -> None:
-        sites = support_positions(steps)
-        values, bad = _frozen_array(probs, len(sites), "probabilities", 1.0 + NORM_TOL)
+        values, bad = _frozen_array(probs, _site_count(steps), "probabilities", 1.0 + NORM_TOL)
         if bad is not None:
-            m, p = sites[bad], float(values[bad])
+            m, p = 2 * bad - steps, float(values[bad])
             raise ValueError(f"probability at position {m} is {p}, outside [0, 1]")
         total = float(values.sum())
         if abs(total - 1.0) > DIST_SUM_TOL:

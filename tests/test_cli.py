@@ -495,3 +495,51 @@ def test_interrupt_is_one_error_line_and_leaves_no_temporary(
     assert main(argv + ["--out", str(tmp_path / "s.txt")]) == 1
     assert capsys.readouterr().err == "error: interrupted\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags, pinned",
+    [
+        (["train", "--steps", "four"], "argument --steps: invalid int value: 'four'"),
+        (["simulate", "--initial", "custom:1,0,0"], "custom state needs four numbers"),
+        (["simulate", "--initial", "custom:1,0,x,0"], "non-numeric component in 'custom:1,0,x,0'"),
+        (["simulate", "--initial", "diagonal"], "unknown initial state 'diagonal'"),
+        (["train", "--steps", "4", "--init", "const:abc"], "expected const:<ratio>, got"),
+        (["train", "--steps", "4", "--init", "rand:1.5"], "expected rand:<seed>, got"),
+        (["analyze", "--steps", "4"], "outcome index 5 outside [0, 4]"),
+    ],
+)
+def test_bad_flag_value_is_one_error_line(flags, pinned, workspace, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out")]
+    command, rest = flags[0], flags[1:]
+    if command == "train":
+        argv = ["train", *rest, "--target", "uniform", *out, "--log", str(tmp_path / "log")]
+    elif command == "simulate":
+        argv = ["simulate", "--schedule", str(workspace["schedule"]), *rest, *out]
+    else:
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0\n5\n")
+        argv = ["analyze", "--samples", str(samples), "--target", "uniform", *rest, *out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert pinned in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("steps, code", [("4", 0), ("6", 1)])
+def test_analyze_steps_must_match_the_schedule(steps, code, workspace, samples, tmp_path, capsys):
+    argv = [
+        "analyze",
+        "--samples", str(samples),
+        "--target", "uniform",
+        "--schedule", str(workspace["schedule"]),
+        "--steps", steps,
+        "--out", str(tmp_path / "r.csv"),
+    ]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: --steps 6 does not match the 4-step schedule\n"
+    else:
+        assert err == "" and (tmp_path / "r.csv").exists()

@@ -4,6 +4,7 @@ binds, and the names the benchmark's tracer and workloads call still exist."""
 import importlib
 import importlib.util
 import inspect
+import sys
 import types
 from pathlib import Path
 
@@ -55,3 +56,16 @@ def test_benchmark_tracer_still_fits_the_api():
         (qwrng.Distribution, "as_array"),
     ]:
         assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+
+
+def test_benchmark_workloads_set_up_and_their_first_ops_check(tmp_path):
+    # an API change that breaks a workload fails here, not in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # @dataclass looks its module up by name
+    spec.loader.exec_module(workloads)
+    for name in workloads.BUILDERS:
+        (tmp_path / name).mkdir()
+        op = workloads.make(name, 1, tmp_path / name)[0]
+        op.check(op.call())

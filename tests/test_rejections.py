@@ -1,0 +1,100 @@
+"""Library input checks that no other test reaches: each rejects its input
+with a ``ValueError`` whose wording is pinned here."""
+
+import re
+
+import numpy as np
+import pytest
+
+from qwrng import (
+    NAMED_COIN_VECTORS,
+    CoinSchedule,
+    Distribution,
+    chi_square_test,
+    counts_by_position,
+    decode_bits,
+    empirical_distribution,
+    initial_state,
+    load_target,
+    robustness_sweep,
+    target_from_spec,
+    train,
+    uniform_target,
+    unpack_bits,
+)
+from qwrng.sampling import bit_width
+
+
+def _origin():
+    return initial_state(NAMED_COIN_VECTORS["L"])
+
+
+CASES = {
+    "target negative row": (
+        lambda: load_target("-2,0.5\n0,-0.25\n2,0.75\n"),
+        "probability at position 0 is -0.25, outside [0, 1]",
+    ),
+    "target nan row": (
+        lambda: load_target("-2,0.5\n0,nan\n2,0.5\n"),
+        "probability at position 0 is nan, outside [0, 1]",
+    ),
+    "chi-square negative count": (
+        lambda: chi_square_test(np.array([3, -1, 3]), uniform_target(2)),
+        "counts must be non-negative",
+    ),
+    "chi-square all zero": (
+        lambda: chi_square_test(np.zeros(3, dtype=np.int64), uniform_target(2)),
+        "chi-square test needs at least one observation",
+    ),
+    "decode past the last outcome": (
+        lambda: decode_bits(np.array([1, 1, 1]), 5),
+        "decoded index 7 outside [0, 4]",
+    ),
+    "unpack padding 8": (
+        lambda: unpack_bits(b"\x00", 8),
+        "padding must be 0..7 bits, got 8",
+    ),
+    "unpack padding past the payload": (
+        lambda: unpack_bits(b"", 3),
+        "padding exceeds the stored bit count",
+    ),
+    "empirical of zero samples": (
+        lambda: empirical_distribution(np.zeros(0, dtype=np.int64), 2),
+        "cannot build an empirical distribution from zero samples",
+    ),
+    "bit width of no outcomes": (
+        lambda: bit_width(0),
+        "need at least one outcome, got 0",
+    ),
+    "sweep without magnitudes": (
+        lambda: robustness_sweep(CoinSchedule.constant(2), _origin(), uniform_target(2), [], 1, 0),
+        "need at least one perturbation magnitude",
+    ),
+    "train on a 0-step target": (
+        lambda: train(_origin(), Distribution(0, [1.0])),
+        "training needs a target over at least one step",
+    ),
+    "gaussian spec without steps": (
+        lambda: target_from_spec("gaussian:0,2", None),
+        "a gaussian target needs the number of steps",
+    ),
+    "distribution of negative steps": (
+        lambda: Distribution(-1, []),
+        "steps must be non-negative, got -1",
+    ),
+    "counts of negative steps": (
+        lambda: counts_by_position(np.array([0]), -1),
+        "steps must be non-negative, got -1",
+    ),
+    "schedule of negative steps": (
+        lambda: CoinSchedule(-1, []),
+        "steps must be non-negative, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejected_with_its_message(case):
+    call, message = CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

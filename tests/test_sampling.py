@@ -220,4 +220,4 @@ class TestTallies:
 
     def test_stream_positions_mapping(self):
         stream = SampleStream(outcomes=np.array([0, 2, 4]), n_outcomes=5)
-        assert list(stream.positions(4)) == [-4, 0, 4]
+        assert list(stream.positions()) == [-4, 0, 4]
