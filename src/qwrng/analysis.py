@@ -10,13 +10,18 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .training import fidelity
-from .walk import CoinSchedule, Distribution, WalkState, measure, run_walk
+from .training import _check_same_support, _fidelity
+from .walk import CoinSchedule, Distribution, WalkState, _forward, _triangle
 
 #: Wave-plate resolution (degrees) of the modeled hardware; a half-wave
 #: plate at angle phi rotates polarization by 2*phi, so this grid on phi
 #: induces a grid twice as coarse on the coin angle.
 DEFAULT_HWP_RESOLUTION_DEG = 0.25
+
+#: Walks x buffer slots that one batched pass of :func:`robustness_sweep`
+#: may hold (about 16 MB of working arrays), so its memory does not grow with
+#: the number of trials.
+_BATCH_SLOTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -140,26 +145,35 @@ def robustness_sweep(
     offset in [-d, d] (clamped into [0, 1]) and the perturbed walk is
     re-simulated against the target.  Each (magnitude, trial) pair gets its
     own child generator derived from the seed, so results are reproducible
-    and independent of any evaluation order.
+    and independent of any evaluation order.  The trials of one magnitude
+    are walked together, in batches of bounded memory, one forward pass per
+    batch; each fidelity is bit-identical to that of its walk alone.
     """
     mags = [float(d) for d in magnitudes]
     if not mags:
         raise ValueError("need at least one perturbation magnitude")
+    if not all(math.isfinite(d) for d in mags):
+        raise ValueError(f"magnitudes must be finite, got {mags}")
     if any(d < 0 for d in mags):
         raise ValueError("magnitudes must be non-negative")
     if any(b <= a for a, b in zip(mags, mags[1:])):
         raise ValueError(f"magnitudes must be strictly increasing, got {mags}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    _check_same_support(schedule, target)
 
-    base = schedule.values
+    base, goal = schedule.values, target.values
+    rows = max(1, _BATCH_SLOTS // _triangle(schedule.steps + 1))
     points: list[tuple[float, float, float]] = []
     for i, d in enumerate(mags):
         fids = np.empty(trials)
-        for t in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), i, t]))
-            noisy = np.clip(base + rng.uniform(-d, d, size=base.size), 0.0, 1.0)
-            perturbed = schedule.with_array(noisy)
-            fids[t] = fidelity(measure(run_walk(initial, perturbed)), target)
+        for first in range(0, trials, rows):
+            offsets = np.stack([
+                np.random.default_rng(np.random.SeedSequence([int(seed), i, t]))
+                .uniform(-d, d, size=base.size)
+                for t in range(first, min(first + rows, trials))
+            ])
+            _, probs = _forward(np.clip(base + offsets, 0.0, 1.0), schedule.steps, initial)
+            fids[first : first + len(probs)] = [_fidelity(p, goal) for p in probs]
         points.append((d, float(fids.mean()), float(fids.min())))
     return RobustnessCurve(points=points)

@@ -3,6 +3,8 @@ are read by :func:`qwrng.fileio.load_target`."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fileio import read_distribution
@@ -26,6 +28,8 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     """
     if steps < 1:
         raise ValueError(f"a gaussian target needs at least one step, got {steps}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     sites = np.arange(-steps, steps + 1, 2, dtype=float)

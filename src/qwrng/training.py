@@ -127,6 +127,8 @@ class TrainConfig:
             raise ValueError(f"loss tolerance must be non-negative, got {self.loss_tol}")
         if not (0.0 <= self.init_ratio <= 1.0):
             raise ValueError(f"init ratio must lie in [0, 1], got {self.init_ratio}")
+        if self.init_seed is not None and self.init_seed < 0:
+            raise ValueError(f"init seed must be non-negative, got {self.init_seed}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ component, real and imaginary rows (the coins are real, so the parts evolve
 independently).  The coin layer is four vectorized multiply-adds with
 ``sqrt(r)`` and ``sqrt(1 - r)``; the shift appends a zero slot to L and
 prepends one to R.  Schedules and distributions are flat float64 arrays.
+
+The forward pass also walks a stack of schedules at once: ratio arrays of
+shape ``(..., count)`` give slot buffers of shape ``(2, ..., slots)``, and
+every row evolves exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -233,25 +237,31 @@ def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _forward(values: np.ndarray, steps: int, initial: WalkState):
-    """Walk a flat ratio array from the origin; return ``(sqrt(r), sqrt(1-r),
-    L, R)`` and the output probabilities.  In the L and R buffers the state
-    before step ``t`` sits at that step's ratio offset, the final state at
-    offset ``values.size``."""
+    """Walk ratio arrays from the origin; return ``(sqrt(r), sqrt(1-r), L, R)``
+    and the output probabilities.
+
+    ``values`` has shape ``(..., count)``: leading axes are batch axes, one
+    walk per flat ratio array, each bit-identical to its walk alone.  The L
+    and R buffers have shape ``(2, ..., slots)``; in them the state before
+    step ``t`` sits at that step's ratio offset, the final state at offset
+    ``count``.  The probabilities have shape ``(..., steps + 1)``.
+    """
     if initial.step != 0 or initial.positions() != [0]:
         raise ValueError("the walk requires a step-0 state located at the origin")
     sr, sq = np.sqrt(values), np.sqrt(1.0 - values)
-    size = _triangle(steps + 1)
-    left, right = np.zeros((2, size)), np.zeros((2, size))
-    left[:, :1], right[:, :1] = initial.left, initial.right
+    shape = (2, *values.shape[:-1], _triangle(steps + 1))
+    left, right = np.zeros(shape), np.zeros(shape)
+    origin = (2,) + (1,) * values.ndim
+    left[..., :1], right[..., :1] = initial.left.reshape(origin), initial.right.reshape(origin)
     start = 0
     for t in range(1, steps + 1):
         end = start + t
         # the coin's L output keeps its slot index, its R output moves up one
-        left[:, end : end + t], right[:, end + 1 : end + t + 1] = _coin(
-            sr[start:end], sq[start:end], left[:, start:end], right[:, start:end]
+        left[..., end : end + t], right[..., end + 1 : end + t + 1] = _coin(
+            sr[..., start:end], sq[..., start:end], left[..., start:end], right[..., start:end]
         )
         start = end
-    return (sr, sq, left, right), _probs(left[:, start:], right[:, start:])
+    return (sr, sq, left, right), _probs(left[..., start:], right[..., start:])
 
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:

@@ -5,6 +5,7 @@ import pytest
 
 import qwrng
 from qwrng import (
+    NAMED_COIN_VECTORS,
     CoinSchedule,
     Distribution,
     chi_square_p_value,
@@ -19,6 +20,7 @@ from qwrng import (
     run_walk,
     uniform_target,
 )
+from qwrng.analysis import _BATCH_SLOTS
 
 from util import random_coin_vector, random_schedule
 
@@ -169,6 +171,15 @@ class TestQuantize:
         for key, r in sched.ratios.items():
             assert q.ratios[key] == quantize_ratio(r, 0.25)
 
+    @pytest.mark.parametrize("resolution", [0.3, 0.01])
+    def test_schedule_quantization_is_the_scalar_rule_on_many_ratios(self, resolution):
+        # np.arccos and math.acos can differ in the last ulp, which moves the
+        # rounded plate angle of a few ratios at these resolutions: a
+        # vectorized quantizer must equal quantize_ratio on a large schedule
+        sched = CoinSchedule.random(64, 5)
+        expected = [quantize_ratio(r, resolution) for r in sched.values.tolist()]
+        assert quantize_schedule(sched, resolution).values.tolist() == expected
+
 
 class TestRobustnessSweep:
     def test_zero_magnitude_reproduces_unperturbed_fidelity(self, circ_left, uniform4, trained_uniform):
@@ -190,6 +201,18 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError, match="non-negative"):
             robustness_sweep(
                 trained_uniform.final_schedule, circ_left, uniform4, [-0.01, 0.005], 5, 0
+            )
+
+    def test_wrong_target_fails_before_any_noise_is_drawn(
+        self, circ_left, trained_uniform, monkeypatch
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="different supports"):
+            robustness_sweep(
+                trained_uniform.final_schedule, circ_left, uniform_target(5), [0.01], 5, 0
             )
 
     def test_trials_must_be_positive(self, circ_left, uniform4, trained_uniform):
@@ -226,6 +249,47 @@ class TestRobustnessSweep:
         _, mean_f, min_f = curve.points[0]
         assert min_f >= base - 0.015
         assert mean_f >= base - 0.008
+
+
+def _sweep_one_walk_at_a_time(schedule, initial, target, magnitudes, trials, seed):
+    """The sweep as one perturbed schedule, walk and fidelity per trial."""
+    points = []
+    for i, d in enumerate(magnitudes):
+        fids = np.empty(trials)
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i, t]))
+            offsets = rng.uniform(-d, d, size=schedule.values.size)
+            noisy = CoinSchedule(schedule.steps, np.clip(schedule.values + offsets, 0.0, 1.0))
+            fids[t] = fidelity(measure(run_walk(initial, noisy)), target)
+        points.append((d, float(fids.mean()), float(fids.min())))
+    return points
+
+
+class TestSweepEqualsOneWalkAtATime:
+    """The batched sweep returns exactly the curve of per-trial walks."""
+
+    def check(self, schedule, initial, target, magnitudes, trials, seed):
+        curve = robustness_sweep(schedule, initial, target, magnitudes, trials, seed)
+        expected = _sweep_one_walk_at_a_time(schedule, initial, target, magnitudes, trials, seed)
+        assert curve.points == expected
+
+    def test_trained_schedule(self, circ_left, uniform4, trained_uniform):
+        self.check(trained_uniform.final_schedule, circ_left, uniform4, [0.0, 0.01, 0.05], 30, 5)
+
+    def test_random_schedule(self):
+        rng = np.random.default_rng(16)
+        sched, state = random_schedule(rng, 16), initial_state(random_coin_vector(rng))
+        self.check(sched, state, uniform_target(16), [0.0, 0.02, 0.2], 25, 11)
+
+    def test_single_trial(self, circ_left, uniform4, trained_uniform):
+        self.check(trained_uniform.final_schedule, circ_left, uniform4, [0.0, 0.1], 1, 2)
+
+    def test_trials_spanning_several_batches(self):
+        steps = 256
+        rows = _BATCH_SLOTS // ((steps + 1) * (steps + 2) // 2)
+        sched, state = CoinSchedule.random(steps, 3), initial_state(NAMED_COIN_VECTORS["circ-left"])
+        target = measure(run_walk(state, sched))
+        self.check(sched, state, target, [0.0, 0.01], 2 * rows + 1, 8)
 
 
 class TestQuantizedScheduleFidelity:

@@ -507,6 +507,7 @@ def test_interrupt_is_one_error_line_and_leaves_no_temporary(
         (["train", "--steps", "4", "--init", "const:abc"], "expected const:<ratio>, got"),
         (["train", "--steps", "4", "--init", "rand:1.5"], "expected rand:<seed>, got"),
         (["analyze", "--steps", "4"], "outcome index 5 outside [0, 4]"),
+        (["train", "--steps", "4", "--init", "rand:-1"], "init seed must be non-negative, got -1"),
     ],
 )
 def test_bad_flag_value_is_one_error_line(flags, pinned, workspace, tmp_path, capsys):
@@ -525,6 +526,17 @@ def test_bad_flag_value_is_one_error_line(flags, pinned, workspace, tmp_path, ca
     assert err.startswith("error:") and err.count("\n") == 1
     assert pinned in err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+def test_non_finite_gaussian_mean_is_one_error_line(mu, tmp_path, capsys):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("0\n2\n")
+    out = tmp_path / "r.csv"
+    argv = ["analyze", "--samples", str(samples), "--target", f"gaussian:{mu},1", "--steps", "4"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: mu must be finite, got {mu}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("steps, code", [("4", 0), ("6", 1)])

@@ -1,6 +1,6 @@
 """Generated-input properties: the array walk core against the brute-force
-oracle (the forward walk, ratios exactly 0 and 1 included, up to the
-oracle's size cap, and the adjoint gradient), and the file formats
+oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
+up to the oracle's size cap, and the adjoint gradient), and the file formats
 (byte-exact round trips, every bit width, line-numbered diagnostics, and the
 array-speed index codec against the plain line-by-line one)."""
 
@@ -36,6 +36,7 @@ from qwrng.fileio import (
     write_indices,
 )
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
+from qwrng.walk import _forward
 
 # a fixed example sequence keeps the suite's verdict reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -75,6 +76,28 @@ def test_walk_matches_dense_oracle_and_keeps_norm(sched, v):
     dense = dense_walk(sched, v).as_array()
     assert np.max(np.abs(fast - dense)) <= 1e-12
     assert abs(final.norm() - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, MAX_DENSE_STEPS), st.integers(1, 4), coin_vectors())
+def test_batched_walk_rows_equal_their_walks_alone(data, steps, rows, v):
+    size = steps * (steps + 1) // 2
+    values = np.array(data.draw(st.lists(EDGE_RATIOS, min_size=rows * size, max_size=rows * size)))
+    values[0], values[-1] = 0.0, 1.0  # every batch holds both boundary ratios
+    values = values.reshape(rows, size)
+    initial = initial_state(v)
+    (_, _, left, right), probs = _forward(values, steps, initial)
+    assert probs.shape == (rows, steps + 1)
+    for b, row in enumerate(values):
+        (_, _, row_left, row_right), row_probs = _forward(row, steps, initial)
+        assert probs[b].tobytes() == row_probs.tobytes()
+        assert left[:, b].tobytes() == row_left.tobytes()
+        assert right[:, b].tobytes() == row_right.tobytes()
+        dense = dense_walk(CoinSchedule(steps, row), v).as_array()
+        assert np.max(np.abs(probs[b] - dense)) <= 1e-12
+    # a second leading axis walks the same rows
+    _, grid = _forward(values.reshape(1, rows, size), steps, initial)
+    assert grid.tobytes() == probs.tobytes()
 
 
 @PROPERTY

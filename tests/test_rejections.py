@@ -14,6 +14,7 @@ from qwrng import (
     counts_by_position,
     decode_bits,
     empirical_distribution,
+    gaussian_target,
     initial_state,
     load_target,
     robustness_sweep,
@@ -69,6 +70,30 @@ CASES = {
     "sweep without magnitudes": (
         lambda: robustness_sweep(CoinSchedule.constant(2), _origin(), uniform_target(2), [], 1, 0),
         "need at least one perturbation magnitude",
+    ),
+    "sweep of a nan magnitude": (
+        lambda: robustness_sweep(
+            CoinSchedule.constant(2), _origin(), uniform_target(2), [float("nan")], 1, 0
+        ),
+        "magnitudes must be finite, got [nan]",
+    ),
+    "sweep of an infinite magnitude": (
+        lambda: robustness_sweep(
+            CoinSchedule.constant(2), _origin(), uniform_target(2), [0.0, float("inf")], 1, 0
+        ),
+        "magnitudes must be finite, got [0.0, inf]",
+    ),
+    "sweep against a target of other steps": (
+        lambda: robustness_sweep(CoinSchedule.constant(2), _origin(), uniform_target(3), [0.1], 1, 0),
+        "distributions have different supports (2 vs 3 steps)",
+    ),
+    "gaussian of a nan mean": (
+        lambda: gaussian_target(4, mu=float("nan")),
+        "mu must be finite, got nan",
+    ),
+    "gaussian spec of an infinite mean": (
+        lambda: target_from_spec("gaussian:inf,1", 4),
+        "mu must be finite, got inf",
     ),
     "train on a 0-step target": (
         lambda: train(_origin(), Distribution(0, [1.0])),

@@ -180,6 +180,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="init ratio"):
             TrainConfig(init_ratio=1.2)
 
+    def test_negative_init_seed_rejected(self):
+        with pytest.raises(ValueError, match="^init seed must be non-negative, got -1$"):
+            TrainConfig(init_seed=-1)
+        assert TrainConfig(init_seed=0).init_seed == 0
+
 
 class TestTrain:
     def test_uniform_target_converges(self, trained_uniform, uniform4):
