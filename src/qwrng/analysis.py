@@ -156,6 +156,9 @@ def robustness_sweep(
         raise ValueError(f"magnitudes must be finite, got {mags}")
     if any(d < 0 for d in mags):
         raise ValueError("magnitudes must be non-negative")
+    huge = [d for d in mags if not math.isfinite(2 * d)]
+    if huge:  # the width 2d of the noise interval must be a float
+        raise ValueError(f"magnitude {huge[0]!r} is too large: its noise range [-d, d] overflows")
     if any(b <= a for a, b in zip(mags, mags[1:])):
         raise ValueError(f"magnitudes must be strictly increasing, got {mags}")
     if trials < 1:

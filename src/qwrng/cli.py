@@ -1,11 +1,11 @@
 """Command-line workflows: train, simulate, sample, analyze.
 
 Every command is a deterministic function of its flags and input files.
-Exit codes: 0 on success, 1 on usage/validation/IO errors, an allocation
-that does not fit in memory, a number too large to represent or an
-interrupt (with a one-line ``error: ...`` diagnostic on stderr), 2 when
-training ran out of iterations without converging (artifacts are still
-written).
+Exit codes: 0 on success, 1 on usage/validation/IO errors (an output the
+disk has no room for included), an allocation that does not fit in memory,
+a number too large to represent or an interrupt (with a one-line
+``error: ...`` diagnostic on stderr), 2 when training ran out of iterations
+without converging (artifacts are still written).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from . import fileio
 from .analysis import chi_square_test, entropy_report, quantize_schedule
-from .sampling import build_sampler, counts_by_position, draw
+from .sampling import ChunkedStream, build_sampler, counts_by_position
 from .targets import target_from_spec
 from .training import TrainConfig, fidelity, train
 from .walk import NAMED_COIN_VECTORS, CoinSchedule, Distribution, initial_state, measure, run_walk
@@ -108,11 +108,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     schedule = fileio.read_schedule(args.schedule)
     sampler = build_sampler(_output(schedule, _parse_coin_vector(args.initial)), args.seed)
-    stream = draw(sampler, args.count)
-    if args.format == "indices":
-        fileio.write_indices(stream, args.out)
-    else:
-        fileio.write_bits(stream, args.out)
+    # drawn chunk by chunk while the file is written, so memory does not grow with --count
+    stream = ChunkedStream(sampler, args.count)
+    write = fileio.write_indices if args.format == "indices" else fileio.write_bits
+    write(stream, args.out)
     return 0
 
 

@@ -1,6 +1,13 @@
 """Text formats for schedules, distributions, traces, reports and sample
 streams; this module alone reads them and writes them, each file atomically.
 
+Sample streams are encoded and written one chunk at a time, so writing a
+stream that is drawn as it is read (:class:`sampling.ChunkedStream`) holds one
+chunk in memory whatever its length, and gives the same bytes as writing the
+whole stream from memory.  Before the first chunk, a sample writer checks that
+the target's file system has room for the payload, so an impossible count
+fails at once instead of filling the disk.
+
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, and rows are emitted in a fixed sort order, so writing the
 same object twice produces byte-identical files.
@@ -11,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import shutil
 from itertools import repeat, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -31,14 +39,21 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write(path: str | Path, data: str | bytes) -> None:
-    """Replace ``path`` with ``data`` through a temporary file beside it, so a
-    failed write leaves the old file intact.  The temporary file is created
-    with a plain ``open``, so its mode follows the umask like any new file."""
+def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> None:
+    """Replace ``path`` with ``data``, a text or byte chunks written in order,
+    through a temporary file beside it, so a failed write (also one that fails
+    while the chunks are produced) leaves the old file intact.  The temporary
+    file is created with a plain ``open``, so its mode follows the umask like
+    any new file.  A write promised to take ``at_least`` bytes fails before
+    its first chunk when the directory has less space free."""
+    if at_least:
+        free = shutil.disk_usage(Path(path).parent).free
+        if at_least > free:
+            raise OSError(f"{path} needs at least {at_least} bytes, but only {free} are free")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -220,19 +235,23 @@ def write_trace(iterations: Iterable[tuple[int, float, float]], path: str | Path
 # --- sample streams -------------------------------------------------------
 
 
-def write_indices(stream: sampling.SampleStream, path: str | Path) -> None:
-    """One decimal outcome index per line.
+def write_indices(stream: sampling.SampleStream | sampling.ChunkedStream, path: str | Path) -> None:
+    """One decimal outcome index per line, at least two bytes each.
 
     Each outcome's row ``f"{i}\\n"`` is precomputed, NUL-padded to a common
-    width; the rows are gathered by outcome and the padding dropped.
+    width; each chunk's rows are gathered by outcome and the padding dropped.
     """
     n = stream.n_outcomes
-    sampling.check_outcomes(stream.outcomes, n)
     rows = [f"{i}\n" for i in range(n)]
     width = len(rows[-1])
-    table = np.frombuffer("".join(row.ljust(width, "\0") for row in rows).encode("ascii"), np.uint8)
-    gathered = table.reshape(n, width)[stream.outcomes]
-    _write(path, gathered[gathered != 0].tobytes())
+    padded = "".join(row.ljust(width, "\0") for row in rows).encode("ascii")
+    table = np.frombuffer(padded, np.uint8).reshape(n, width)
+
+    def encode(outcomes: np.ndarray) -> bytes:
+        gathered = table.take(outcomes, axis=0)  # ~4x faster than table[outcomes]
+        return gathered[gathered != 0].tobytes()
+
+    _write(path, map(encode, stream.chunks()), at_least=2 * stream.count)
 
 
 #: Longest line the array index reader parses: 10**18 - 1 fits in int64.
@@ -289,16 +308,25 @@ def read_indices(path: str | Path) -> np.ndarray:
     return arr
 
 
-def write_bits(stream: sampling.SampleStream, path: str | Path) -> None:
+def write_bits(stream: sampling.SampleStream | sampling.ChunkedStream, path: str | Path) -> None:
     """Packed bit file plus a one-line sidecar header at ``<path>.meta``.
 
     The sidecar records the draw count, the per-outcome field width and how
     many zero bits pad the final byte.  It is replaced after the payload.
+    Every chunk but the last holds a multiple of 8 outcomes, so each packs
+    into whole bytes and the file equals one packing of the whole stream.  A
+    single-outcome stream takes no bits: its payload is empty and it is not
+    drawn.
     """
-    bits = sampling.encode_bits(stream, stream.n_outcomes)
-    packed, padding = sampling.pack_bits(bits)
-    _write(path, packed)
-    _write(f"{path}.meta", f"count={stream.count} width={stream.width} padding_bits={padding}\n")
+    n, width = stream.n_outcomes, stream.width
+    chunks = stream.chunks()  # checks an in-memory stream, draws nothing yet
+
+    def encode(outcomes: np.ndarray) -> bytes:
+        return sampling.pack_bits(sampling.encode_bits(outcomes, n))[0]
+
+    n_bits = stream.count * width
+    _write(path, map(encode, chunks) if width else [], at_least=-(-n_bits // 8))
+    _write(f"{path}.meta", f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
 
 
 def read_bits(path: str | Path) -> np.ndarray:

@@ -10,11 +10,18 @@ short correction step walks past the cumulative entries that a uniform
 still reaches, so every index equals ``searchsorted(cdf, u, side="right")``.
 The streams are deterministic stand-ins for a physical detection record,
 not a source of true entropy.
+
+A stream is read in chunks of ``_CHUNK`` outcomes.  A :class:`SampleStream`
+holds its outcomes in memory and slices them; a :class:`ChunkedStream` draws
+each chunk only when it is read, so a stream of any length holds one chunk
+at a time.  Successive draws continue one PCG64 stream, so both give the same
+outcomes for the same sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +29,9 @@ from .walk import Distribution, _site_count
 
 _MAX_SEED = 2**64
 #: Uniforms drawn and looked up per pass, so a draw holds no count-sized
-#: temporary beyond its int64 output.
+#: temporary beyond its int64 output; also the outcomes per chunk of a stream
+#: read by the file writers.  A multiple of 8, so every chunk but the last
+#: packs into whole bytes at any bit width.
 _CHUNK = 2**16
 #: The guide table has 2**(bit_length(n_outcomes) + _GUIDE_BITS) buckets,
 #: 16 to 32 per outcome, so few uniforms share a bucket with a cdf entry.
@@ -39,7 +48,9 @@ def bit_width(n_outcomes: int) -> int:
 @dataclass
 class SamplerState:
     """Inverse-CDF sampler over one distribution: its cumulative
-    probabilities ``cdf``, one per outcome index, and the generator ``rng``.
+    probabilities ``cdf``, one per outcome index, the generator ``rng`` and
+    the guide table that :func:`draw` looks uniforms up in, built once here
+    because a chunked stream draws many times.
 
     Mutable and single-owner: every :func:`draw` advances ``rng``.  Build
     independent samplers (distinct seeds) for concurrent use.
@@ -47,6 +58,12 @@ class SamplerState:
 
     cdf: np.ndarray
     rng: np.random.Generator = field(repr=False)
+    guide: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # bucket j covers [j/K, (j+1)/K); u*K and j/K are exact for a power-of-two K
+        buckets = 1 << (self.cdf.size.bit_length() + _GUIDE_BITS)
+        self.guide = np.searchsorted(self.cdf, np.arange(buckets) / buckets, side="right")
 
 
 @dataclass
@@ -69,6 +86,42 @@ class SampleStream:
         ``n_outcomes - 1``-step walk they were drawn from."""
         return 2 * self.outcomes - (self.n_outcomes - 1)
 
+    def chunks(self) -> Iterator[np.ndarray]:
+        """Check every outcome now, then return the outcomes as views of
+        ``_CHUNK`` each, the last one shorter."""
+        check_outcomes(self.outcomes, self.n_outcomes)
+        return (self.outcomes[i : i + _CHUNK] for i in range(0, self.count, _CHUNK))
+
+
+@dataclass
+class ChunkedStream:
+    """``count`` outcomes of ``sampler``, drawn as they are read.
+
+    Iterating :meth:`chunks` calls :func:`draw` once per chunk of at most
+    ``_CHUNK`` outcomes, so one chunk is resident at a time, and advances the
+    sampler exactly as ``draw(sampler, count)`` would, with equal outcomes.
+    Calling :meth:`chunks` without iterating it draws nothing.
+    """
+
+    sampler: SamplerState
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"count must be positive, got {self.count}")
+
+    @property
+    def n_outcomes(self) -> int:
+        return int(self.sampler.cdf.size)
+
+    @property
+    def width(self) -> int:
+        return bit_width(self.n_outcomes)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        for start in range(0, self.count, _CHUNK):
+            yield draw(self.sampler, min(_CHUNK, self.count - start)).outcomes
+
 
 def build_sampler(dist: Distribution, seed: int) -> SamplerState:
     """Prepare a deterministic sampler for a distribution.
@@ -88,17 +141,14 @@ def draw(sampler: SamplerState, count: int) -> SampleStream:
     """Draw ``count`` outcome indices, advancing the sampler state."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    cdf = sampler.cdf
-    # bucket j covers [j/K, (j+1)/K); u*K and j/K are exact for a power-of-two K
-    buckets = 1 << (cdf.size.bit_length() + _GUIDE_BITS)
-    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    cdf, guide = sampler.cdf, sampler.guide
     outcomes = np.empty(count, dtype=np.int64)
     u = np.empty(min(count, _CHUNK))
     for start in range(0, count, _CHUNK):
         idx = outcomes[start : start + _CHUNK]
         uc = u[: idx.size]
         sampler.rng.random(out=uc)
-        np.take(guide, (uc * buckets).astype(np.intp), out=idx, mode="clip")
+        np.take(guide, (uc * guide.size).astype(np.intp), out=idx, mode="clip")
         # guide[j] counts the cdf entries <= j/K <= u; step over the entries
         # of the bucket that are <= u too.  idx never passes the answer, which
         # is below cdf.size because cdf[-1] = 1 > u, so cdf[idx] is in range.
@@ -128,7 +178,8 @@ def encode_bits(stream: SampleStream | np.ndarray, n_outcomes: int) -> np.ndarra
     check_outcomes(outcomes, n_outcomes)
     width = bit_width(n_outcomes)
     # one bit column at a time, from the narrowest integer type that holds
-    # every index, so no count x width temporary is built
+    # every index: the one count x width array is the uint8 result, so the
+    # file writers bound it by encoding one chunk of a stream at a time
     small = outcomes.astype(np.min_scalar_type(n_outcomes - 1))
     bits = np.empty((outcomes.size, width), dtype=np.uint8)
     for j in range(width):

@@ -1,6 +1,8 @@
 import os
+import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qwrng import fidelity, initial_state, measure, run_walk, uniform_target
 from qwrng.cli import main
 from qwrng.fileio import read_distribution, read_indices, read_schedule
 from qwrng.oracle import dense_walk
+from qwrng.sampling import _CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +258,8 @@ class TestSample:
         assert "count" in capsys.readouterr().err
 
     def test_count_beyond_memory_is_one_error_line(self, workspace, tmp_path, capsys):
-        # 10^18 uniforms need 8 EiB, so the allocation fails when it is
-        # requested and no memory is touched
+        # 10^18 index lines need at least 2 EB of disk, so the free-space
+        # check fails before anything is drawn
         out = tmp_path / "s.txt"
         code = main(
             [
@@ -271,6 +274,33 @@ class TestSample:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["indices", "bits"])
+    def test_draws_at_most_one_chunk_at_a_time(self, workspace, tmp_path, monkeypatch, fmt):
+        requested, real_draw = [], qwrng.sampling.draw
+
+        def recording(sampler, count):
+            requested.append(count)
+            return real_draw(sampler, count)
+
+        monkeypatch.setattr(qwrng.sampling, "draw", recording)
+        count = 3 * _CHUNK + 5
+        argv = ["sample", "--schedule", str(workspace["schedule"]), "--count", str(count)]
+        assert main(argv + ["--seed", "1", "--format", fmt, "--out", str(tmp_path / "s")]) == 0
+        assert max(requested) == _CHUNK and sum(requested) == count
+
+    @pytest.mark.parametrize("fmt", ["indices", "bits"])
+    def test_output_larger_than_the_free_space_is_one_error_line(
+        self, workspace, tmp_path, monkeypatch, capsys, fmt
+    ):
+        # 1000 outcomes take at least 375 bytes as bits and 2000 as indices
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=374))
+        argv = ["sample", "--schedule", str(workspace["schedule"]), "--count", "1000"]
+        code = main(argv + ["--seed", "1", "--format", fmt, "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "374" in err
+        assert not list(tmp_path.iterdir())
 
     def test_bits_format_writes_sidecar(self, workspace, tmp_path):
         out = tmp_path / "s.bits"
@@ -311,7 +341,7 @@ class TestSample:
         self, workspace, tmp_path, monkeypatch, capsys, fmt
     ):
         out = tmp_path / "s.out"
-        args = ["sample", "--schedule", str(workspace["schedule"]), "--count", "100"]
+        args = ["sample", "--schedule", str(workspace["schedule"]), "--count", str(3 * _CHUNK + 5)]
         args += ["--format", fmt, "--out", str(out)]
         assert main(args + ["--seed", "1"]) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -319,12 +349,31 @@ class TestSample:
         def refuse(src, dst):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(os, "replace", refuse)
-        code = main(args + ["--seed", "2"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        def third_draw_raises(error):
+            calls, real_draw = [], qwrng.sampling.draw
+
+            def failing(sampler, count):
+                calls.append(count)
+                if len(calls) == 3:
+                    raise error
+                return real_draw(sampler, count)
+
+            return failing
+
+        # the replace fails after the whole stream is written; a draw fails mid-stream
+        for module, name, failure in [
+            (os, "replace", refuse),
+            (qwrng.sampling, "draw", third_draw_raises(OSError("detector offline"))),
+            (qwrng.sampling, "draw", third_draw_raises(KeyboardInterrupt())),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, failure)
+                code = main(args + ["--seed", "2"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+            # the old file and sidecar are untouched, and no temporary is left
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Generated-input properties: the array walk core against the brute-force
 oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
 up to the oracle's size cap, and the adjoint gradient), and the file formats
-(byte-exact round trips, every bit width, line-numbered diagnostics, and the
+(byte-exact round trips, every bit width, streamed sample files against
+one-piece ones across chunk edges, line-numbered diagnostics, and the
 array-speed index codec against the plain line-by-line one)."""
 
 import math
@@ -36,6 +37,7 @@ from qwrng.fileio import (
     write_indices,
 )
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
+from qwrng.sampling import _CHUNK, ChunkedStream, build_sampler, draw, encode_bits
 from qwrng.walk import _forward
 
 # a fixed example sequence keeps the suite's verdict reproducible
@@ -200,16 +202,53 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("streams")
 
 
+def _at_chunk_edges(test):
+    """Add an example per stream length on either side of a writer chunk
+    edge, at supports of bit width 0, 1, 3 and 9."""
+    for count in [1, 7, 8, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]:
+        for n_outcomes in [1, 2, 5, 300]:
+            test = example(n_outcomes=n_outcomes, count=count, seed=count)(test)
+    return test
+
+
 @PROPERTY
-@given(st.data(), st.integers(1, 70))
-def test_sample_files_round_trip_at_every_width(workdir, data, n_outcomes):
-    outcomes = data.draw(st.lists(st.integers(0, n_outcomes - 1), min_size=1, max_size=80))
-    stream = SampleStream(np.array(outcomes, dtype=np.int64), n_outcomes)
-    write_indices(stream, workdir / "s.txt")
-    write_bits(stream, workdir / "s.bits")
-    assert read_indices(workdir / "s.txt").tolist() == outcomes
-    assert read_bits(workdir / "s.bits").tolist() == outcomes
-    assert not list(workdir.glob("*.tmp"))
+@given(st.integers(1, 70), st.integers(1, 80), st.integers(0, 2**32 - 1))
+@_at_chunk_edges
+def test_sample_files_round_trip_at_every_width(workdir, n_outcomes, count, seed):
+    # the files a stream drawn as it is written gives equal those of the same
+    # draw held in memory, and both equal the one-piece encodings
+    weights = np.random.default_rng(seed).dirichlet(np.ones(n_outcomes))
+    source = Distribution(n_outcomes - 1, weights / weights.sum())
+    outcomes = draw(build_sampler(source, seed), count).outcomes
+    joined = "".join(f"{i}\n" for i in outcomes.tolist()).encode("ascii")
+    bits = encode_bits(outcomes, n_outcomes)
+    meta = f"count={count} width={bits.size // count} padding_bits={-bits.size % 8}\n"
+    # a chunked stream is read once, so each write gets a fresh one
+    streams = (
+        lambda: SampleStream(outcomes, n_outcomes),
+        lambda: ChunkedStream(build_sampler(source, seed), count),
+    )
+    for stream in streams:
+        write_indices(stream(), workdir / "s.txt")
+        write_bits(stream(), workdir / "s.bits")
+        assert (workdir / "s.txt").read_bytes() == joined
+        assert (workdir / "s.bits").read_bytes() == np.packbits(bits).tobytes()
+        assert (workdir / "s.bits.meta").read_text() == meta
+        assert np.array_equal(read_indices(workdir / "s.txt"), outcomes)
+        assert np.array_equal(read_bits(workdir / "s.bits"), outcomes)
+        assert not list(workdir.glob("*.tmp"))
+
+
+@PROPERTY
+@given(st.integers(1, 3 * _CHUNK), st.integers(1, 3 * _CHUNK), st.integers(0, 2**64 - 1))
+@example(_CHUNK, _CHUNK, 0)
+@example(_CHUNK - 1, _CHUNK + 1, 0)
+def test_successive_draws_continue_one_stream(first, second, seed):
+    source = uniform_target(6)
+    sampler = build_sampler(source, seed)
+    parts = [draw(sampler, first).outcomes, draw(sampler, second).outcomes]
+    whole = draw(build_sampler(source, seed), first + second).outcomes
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize("n_outcomes", [1, 9, 10, 11, 99, 100, 101, 257, 1001])

@@ -83,6 +83,10 @@ CASES = {
         ),
         "magnitudes must be finite, got [0.0, inf]",
     ),
+    "sweep of a magnitude whose range overflows": (
+        lambda: robustness_sweep(CoinSchedule.constant(2), _origin(), uniform_target(2), [1e308], 1, 0),
+        "magnitude 1e+308 is too large: its noise range [-d, d] overflows",
+    ),
     "sweep against a target of other steps": (
         lambda: robustness_sweep(CoinSchedule.constant(2), _origin(), uniform_target(3), [0.1], 1, 0),
         "distributions have different supports (2 vs 3 steps)",
