@@ -128,14 +128,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     target = target_from_spec(args.target, steps)
 
-    outcomes = fileio.read_indices(args.samples)
-    counts = counts_by_position(outcomes, target.steps)
-    empirical = Distribution(target.steps, counts / outcomes.size)
+    # tallied block by block, so memory does not grow with the sample count
+    counts = sum(counts_by_position(c, target.steps) for c in fileio.iter_indices(args.samples))
+    empirical = Distribution(target.steps, counts / counts.sum())
     chi2 = chi_square_test(counts, target)
     shannon, min_entropy = entropy_report(empirical)
 
     rows: list[tuple[str, object]] = [
-        ("samples", int(outcomes.size)),
+        ("samples", int(counts.sum())),
         ("chi_square_statistic", chi2.statistic),
         ("chi_square_dof", chi2.dof),
         ("chi_square_p_value", chi2.p_value),

@@ -1,12 +1,14 @@
 """Text formats for schedules, distributions, traces, reports and sample
 streams; this module alone reads them and writes them, each file atomically.
 
-Sample streams are encoded and written one chunk at a time, so writing a
-stream that is drawn as it is read (:class:`sampling.ChunkedStream`) holds one
-chunk in memory whatever its length, and gives the same bytes as writing the
-whole stream from memory.  Before the first chunk, a sample writer checks that
-the target's file system has room for the payload, so an impossible count
-fails at once instead of filling the disk.
+Sample streams move in chunks both ways, so memory does not grow with their
+length: the writers encode and write a :class:`sampling.ChunkedStream` as it
+is drawn, and :func:`iter_indices` reads an index file in blocks of whole
+lines.  Before the first chunk, a writer checks that the target's file system
+has room for the payload, so an impossible count fails at once instead of
+filling the disk.  An existing target that is not a regular file (a FIFO, a
+device, a symlink to either) is refused: replacing it would break whatever
+reads it.
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, and rows are emitted in a fixed sort order, so writing the
@@ -21,7 +23,7 @@ import re
 import shutil
 from itertools import repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +48,7 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     file is created with a plain ``open``, so its mode follows the umask like
     any new file.  A write promised to take ``at_least`` bytes fails before
     its first chunk when the directory has less space free."""
+    _check_regular(path)
     if at_least:
         free = shutil.disk_usage(Path(path).parent).free
         if at_least > free:
@@ -58,6 +61,11 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def _check_regular(path: str | Path) -> None:
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file")
 
 
 def _table(header: str, row_format: str, rows: Iterable[Sequence]) -> str:
@@ -235,7 +243,7 @@ def write_trace(iterations: Iterable[tuple[int, float, float]], path: str | Path
 # --- sample streams -------------------------------------------------------
 
 
-def write_indices(stream: sampling.SampleStream | sampling.ChunkedStream, path: str | Path) -> None:
+def write_indices(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """One decimal outcome index per line, at least two bytes each.
 
     Each outcome's row ``f"{i}\\n"`` is precomputed, NUL-padded to a common
@@ -254,6 +262,8 @@ def write_indices(stream: sampling.SampleStream | sampling.ChunkedStream, path: 
     _write(path, map(encode, stream.chunks()), at_least=2 * stream.count)
 
 
+#: Bytes that :func:`iter_indices` reads per block, before the rest of its last line.
+_BLOCK = 2**16
 #: Longest line the array index reader parses: 10**18 - 1 fits in int64.
 _MAX_FAST_DIGITS = 18
 
@@ -279,54 +289,70 @@ def _digit_lines(data: bytes) -> np.ndarray | None:
     return values
 
 
-def read_indices(path: str | Path) -> np.ndarray:
-    """Outcome indices, one per non-blank line.
-
-    Files made only of digits and newlines, with at most 18 digits a line,
-    are parsed with array arithmetic; any other file is read line by line
-    with ``int``, which also accepts surrounding spaces, ``+``, ``_`` and CRLF.
-    """
-    data = Path(path).read_bytes()
-    arr = _digit_lines(data)
-    if arr is None:
-        text = data.decode("utf-8")
-        (values,) = _columns(text, (int,), "an integer index")
-        try:
-            arr = np.array(values, dtype=np.int64)
-        except OverflowError:
-            k, big = next((k, v) for k, v in enumerate(values) if v >= 2**63 or v < -(2**63))
-            if big < 0:
-                raise ValueError("sample indices must be non-negative") from None
-            lineno = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][k]
-            raise ValueError(
-                f"line {lineno}: sample index {big} is too large for a 64-bit integer"
-            ) from None
-    if not arr.size:
-        raise ValueError("no sample indices found")
-    if arr.min() < 0:
+def _line_indices(text: str, skip: int) -> np.ndarray:
+    """The non-blank lines of ``text`` after the first ``skip``, read with ``int``
+    (which also accepts spaces, ``+``, ``_`` and CRLF) and named by line number."""
+    (values,) = _columns(text, (int,), "an integer index", skip=skip)
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        k, big = next((k, v) for k, v in enumerate(values) if v >= 2**63 or v < -(2**63))
+        if big < 0:
+            raise ValueError("sample indices must be non-negative") from None
+        lineno = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][skip + k]
+        raise ValueError(
+            f"line {lineno}: sample index {big} is too large for a 64-bit integer"
+        ) from None
+    if arr.size and arr.min() < 0:
         raise ValueError("sample indices must be non-negative")
     return arr
 
 
-def write_bits(stream: sampling.SampleStream | sampling.ChunkedStream, path: str | Path) -> None:
+def iter_indices(path: str | Path) -> Iterator[np.ndarray]:
+    """Outcome indices, one per non-blank line, as int64 chunks.
+
+    Blocks of whole lines made only of digits and newlines, at most 18 digits
+    a line, are parsed with array arithmetic; from the first other block on,
+    the file is read line by line, still counting lines from its start.
+    """
+    done = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK) + fh.readline():
+            values = _digit_lines(block)
+            if values is None:
+                fh.seek(0)  # the line reader reads the whole file and leaves fh at its end
+                values = _line_indices(fh.read().decode("utf-8"), skip=done)
+            done += values.size
+            yield values
+    if not done:
+        raise ValueError("no sample indices found")
+
+
+def read_indices(path: str | Path) -> np.ndarray:
+    """All the outcome indices of :func:`iter_indices` in one array."""
+    return np.concatenate(list(iter_indices(path)))
+
+
+def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """Packed bit file plus a one-line sidecar header at ``<path>.meta``.
 
     The sidecar records the draw count, the per-outcome field width and how
-    many zero bits pad the final byte.  It is replaced after the payload.
-    Every chunk but the last holds a multiple of 8 outcomes, so each packs
-    into whole bytes and the file equals one packing of the whole stream.  A
-    single-outcome stream takes no bits: its payload is empty and it is not
-    drawn.
+    many zero bits pad the final byte; it is checked before the payload and
+    replaced after it.  Every chunk but the last holds a multiple of 8
+    outcomes, so each packs into whole bytes and the file equals one packing
+    of the whole stream.  A single-outcome stream takes no bits: its payload
+    is empty and it is not drawn.
     """
-    n, width = stream.n_outcomes, stream.width
-    chunks = stream.chunks()  # checks an in-memory stream, draws nothing yet
+    n, width = stream.n_outcomes, sampling.bit_width(stream.n_outcomes)
+    meta = f"{path}.meta"
+    _check_regular(meta)
 
     def encode(outcomes: np.ndarray) -> bytes:
         return sampling.pack_bits(sampling.encode_bits(outcomes, n))[0]
 
     n_bits = stream.count * width
-    _write(path, map(encode, chunks) if width else [], at_least=-(-n_bits // 8))
-    _write(f"{path}.meta", f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
+    _write(path, map(encode, stream.chunks()) if width else [], at_least=-(-n_bits // 8))
+    _write(meta, f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
 
 
 def read_bits(path: str | Path) -> np.ndarray:
@@ -339,8 +365,10 @@ def read_bits(path: str | Path) -> np.ndarray:
         padding = int(fields["padding_bits"])
     except (KeyError, ValueError):
         raise ValueError(f"malformed sidecar header {meta_text!r}") from None
+    if not 0 <= width < 64:  # an int64 index has at most 63 value bits
+        raise ValueError(f"malformed sidecar header {meta_text!r}")
     bits = sampling.unpack_bits(Path(path).read_bytes(), padding)
-    idx = sampling.bits_to_indices(bits, width)
+    idx = sampling.decode_bits(bits, 1 << width)
     if width == 0:  # a single-outcome stream: every index is 0 and takes no bits
         idx = np.zeros(count, dtype=np.int64)
     if idx.size != count:

@@ -10,12 +10,6 @@ short correction step walks past the cumulative entries that a uniform
 still reaches, so every index equals ``searchsorted(cdf, u, side="right")``.
 The streams are deterministic stand-ins for a physical detection record,
 not a source of true entropy.
-
-A stream is read in chunks of ``_CHUNK`` outcomes.  A :class:`SampleStream`
-holds its outcomes in memory and slices them; a :class:`ChunkedStream` draws
-each chunk only when it is read, so a stream of any length holds one chunk
-at a time.  Successive draws continue one PCG64 stream, so both give the same
-outcomes for the same sampler.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ class SamplerState:
 
 @dataclass
 class SampleStream:
-    """A batch of drawn outcome indices plus its encoding geometry."""
+    """A batch of drawn outcome indices and the size of their support."""
 
     outcomes: np.ndarray
     n_outcomes: int
@@ -77,20 +71,10 @@ class SampleStream:
     def count(self) -> int:
         return int(self.outcomes.size)
 
-    @property
-    def width(self) -> int:
-        return bit_width(self.n_outcomes)
-
     def positions(self) -> np.ndarray:
         """Translate outcome indices to lattice positions of the
         ``n_outcomes - 1``-step walk they were drawn from."""
         return 2 * self.outcomes - (self.n_outcomes - 1)
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        """Check every outcome now, then return the outcomes as views of
-        ``_CHUNK`` each, the last one shorter."""
-        check_outcomes(self.outcomes, self.n_outcomes)
-        return (self.outcomes[i : i + _CHUNK] for i in range(0, self.count, _CHUNK))
 
 
 @dataclass
@@ -100,7 +84,6 @@ class ChunkedStream:
     Iterating :meth:`chunks` calls :func:`draw` once per chunk of at most
     ``_CHUNK`` outcomes, so one chunk is resident at a time, and advances the
     sampler exactly as ``draw(sampler, count)`` would, with equal outcomes.
-    Calling :meth:`chunks` without iterating it draws nothing.
     """
 
     sampler: SamplerState
@@ -113,10 +96,6 @@ class ChunkedStream:
     @property
     def n_outcomes(self) -> int:
         return int(self.sampler.cdf.size)
-
-    @property
-    def width(self) -> int:
-        return bit_width(self.n_outcomes)
 
     def chunks(self) -> Iterator[np.ndarray]:
         for start in range(0, self.count, _CHUNK):
@@ -187,26 +166,19 @@ def encode_bits(stream: SampleStream | np.ndarray, n_outcomes: int) -> np.ndarra
     return bits.ravel()
 
 
-def bits_to_indices(bits: np.ndarray, width: int) -> np.ndarray:
-    """Regroup a flat bit array into integers of the given field width."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if width < 1:
-        if bits.size:
-            raise ValueError("zero-width encoding cannot carry bits")
-        return np.zeros(0, dtype=np.int64)
-    if bits.size % width:
-        raise ValueError(f"bit count {bits.size} is not a multiple of the width {width}")
-    fields = bits.reshape(-1, width)
-    idx = np.zeros(fields.shape[0], dtype=np.int64)
-    for j in range(width):
-        idx <<= 1
-        idx |= fields[:, j]
-    return idx
-
-
 def decode_bits(bits: np.ndarray, n_outcomes: int) -> np.ndarray:
-    """Invert :func:`encode_bits` at the fixed width for ``n_outcomes``."""
-    idx = bits_to_indices(bits, bit_width(n_outcomes))
+    """Invert :func:`encode_bits`: regroup a flat bit array into int64
+    indices at the fixed width for ``n_outcomes``."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    width = bit_width(n_outcomes)
+    if not width and bits.size:
+        raise ValueError("zero-width encoding cannot carry bits")
+    if width and bits.size % width:
+        raise ValueError(f"bit count {bits.size} is not a multiple of the width {width}")
+    idx = np.zeros(bits.size // max(width, 1), dtype=np.int64)
+    for j in range(width):  # bit j of every field, most significant first
+        idx <<= 1
+        idx |= bits[j::width]
     if idx.size and idx.max() >= n_outcomes:
         raise ValueError(f"decoded index {idx.max()} outside [0, {n_outcomes - 1}]")
     return idx
@@ -226,10 +198,9 @@ def unpack_bits(buf: bytes, padding_bits: int) -> np.ndarray:
     """Invert :func:`pack_bits`."""
     if not (0 <= padding_bits < 8):
         raise ValueError(f"padding must be 0..7 bits, got {padding_bits}")
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
-    if padding_bits > bits.size:
+    if padding_bits > 8 * len(buf):
         raise ValueError("padding exceeds the stored bit count")
-    return bits[: bits.size - padding_bits]
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=8 * len(buf) - padding_bits)
 
 
 def counts_by_position(outcomes: np.ndarray, steps: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -302,6 +303,26 @@ class TestSample:
         assert err.startswith("error:") and err.count("\n") == 1 and "374" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("fmt", ["indices", "bits"])
+    def test_non_regular_target_is_refused(self, workspace, tmp_path, capsys, fmt):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        (tmp_path / "link").symlink_to(fifo)
+        (tmp_path / "s.meta").symlink_to(fifo)  # the sidecar of a bits file "s"
+        sample = ["sample", "--schedule", str(workspace["schedule"]), "--count", "10"]
+        runs = [sample + ["--seed", "1", "--format", fmt, "--out", str(tmp_path / out)]
+                for out in ["fifo", "link", "s"][: 3 if fmt == "bits" else 2]]
+        runs.append(["train", "--steps", "2", "--target", "uniform",
+                     "--out", str(tmp_path / "link"), "--log", str(tmp_path / "fifo")])
+        for argv in runs:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert err.endswith("exists and is not a regular file\n")
+        # a bits payload is not written when its sidecar is refused
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link", "s.meta"]
+        assert fifo.is_fifo() and (tmp_path / "link").is_symlink()
+
     def test_bits_format_writes_sidecar(self, workspace, tmp_path):
         out = tmp_path / "s.bits"
         code = main(
@@ -544,6 +565,32 @@ def test_interrupt_is_one_error_line_and_leaves_no_temporary(
     assert main(argv + ["--out", str(tmp_path / "s.txt")]) == 1
     assert capsys.readouterr().err == "error: interrupted\n"
     assert not list(tmp_path.iterdir())
+
+
+#: Peak of the allocations that tracemalloc sees (numpy buffers included)
+#: allowed to one `sample` or `analyze` of 2*10^6 outcomes.  Holding them all
+#: takes ~80 MB; one chunk or block takes well under 1 MB.
+MEMORY_BOUND = 8 * 2**20
+
+
+@pytest.mark.parametrize("command", ["sample", "analyze"])
+def test_memory_does_not_grow_with_the_sample_count(command, workspace, tmp_path):
+    samples = tmp_path / "s.txt"
+    argv = {
+        "sample": ["sample", "--schedule", str(workspace["schedule"]),
+                   "--count", str(2 * 10**6), "--seed", "1", "--out", str(samples)],
+        "analyze": ["analyze", "--samples", str(samples), "--target", "uniform",
+                    "--steps", "4", "--out", str(tmp_path / "r.csv")],
+    }
+    if command == "analyze":
+        assert main(argv["sample"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv[command]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MEMORY_BOUND
 
 
 @pytest.mark.parametrize(

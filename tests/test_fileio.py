@@ -20,6 +20,7 @@ from qwrng.fileio import (
     write_indices,
     write_schedule,
 )
+from qwrng.sampling import ChunkedStream
 
 from util import random_schedule
 
@@ -104,13 +105,20 @@ class TestTraceFiles:
         assert len(lines) == 3
 
 
+def _stream(seed, count):
+    """A chunked stream over the 4-step uniform walk, and the same draw held in memory."""
+    source = uniform_target(4)
+    chunked = ChunkedStream(build_sampler(source, seed), count)
+    return chunked, draw(build_sampler(source, seed), count)
+
+
 class TestSampleFiles:
     def test_indices_round_trip(self, tmp_path):
-        stream = draw(build_sampler(uniform_target(4), 3), 1000)
+        stream, drawn = _stream(3, 1000)
         path = tmp_path / "samples.txt"
         write_indices(stream, path)
         back = read_indices(path)
-        assert np.array_equal(back, stream.outcomes)
+        assert np.array_equal(back, drawn.outcomes)
 
     def test_indices_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -131,13 +139,13 @@ class TestSampleFiles:
             read_indices(path)
 
     def test_bits_round_trip_with_sidecar(self, tmp_path):
-        stream = draw(build_sampler(uniform_target(4), 4), 999)
+        stream, drawn = _stream(4, 999)
         path = tmp_path / "samples.bits"
         write_bits(stream, path)
         meta = (tmp_path / "samples.bits.meta").read_text()
         assert meta == f"count=999 width=3 padding_bits={(-999 * 3) % 8}\n"
         back = read_bits(path)
-        assert np.array_equal(back, stream.outcomes)
+        assert np.array_equal(back, drawn.outcomes)
 
     def test_bits_payload_is_replaced_before_its_sidecar(self, tmp_path, monkeypatch):
         replaced, real_replace = [], os.replace
@@ -147,20 +155,25 @@ class TestSampleFiles:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", record)
-        write_bits(draw(build_sampler(uniform_target(4), 4), 10), tmp_path / "s.bits")
+        write_bits(_stream(4, 10)[0], tmp_path / "s.bits")
         assert replaced == ["s.bits", "s.bits.meta"]
 
     def test_bits_sidecar_mismatch_rejected(self, tmp_path):
-        stream = draw(build_sampler(uniform_target(4), 4), 100)
         path = tmp_path / "samples.bits"
-        write_bits(stream, path)
+        write_bits(_stream(4, 100)[0], path)
         meta_path = tmp_path / "samples.bits.meta"
         meta_path.write_text("count=101 width=3 padding_bits=4\n")
         with pytest.raises(ValueError, match="promises"):
             read_bits(path)
-        meta_path.write_text("nonsense\n")
-        with pytest.raises(ValueError, match="sidecar"):
-            read_bits(path)
+        malformed = [
+            "nonsense\n",
+            "count=100 width=64 padding_bits=4\n",  # an int64 index has at most 63 value bits
+            "count=100 width=-1 padding_bits=4\n",
+        ]
+        for meta in malformed:
+            meta_path.write_text(meta)
+            with pytest.raises(ValueError, match="^malformed sidecar"):
+                read_bits(path)
 
 
 class TestReports:

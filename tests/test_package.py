@@ -38,14 +38,19 @@ def test_benchmark_tracer_still_fits_the_api():
     for span, (fn, _) in tracer.SHIMS.items():
         home = importlib.import_module(f"qwrng.{span.split('.')[0]}")
         assert callable(getattr(home, fn, None)), span
-    probed = {
-        ("training", "loss_gradient"): ("schedule", 0),
-        ("training", "apply_update"): ("schedule", 0),
-        ("walk", "run_walk"): ("schedule", 1),
-        ("sampling", "draw"): ("count", 1),
-        ("sampling", "encode_bits"): ("stream", 0),
-    }
-    for (module, fn), (name, index) in probed.items():
+    probed = [
+        ("training", "loss_gradient", "schedule", 0),
+        ("training", "apply_update", "schedule", 0),
+        ("walk", "run_walk", "schedule", 1),
+        ("sampling", "draw", "count", 1),
+        ("sampling", "encode_bits", "stream", 0),
+        ("fileio", "write_indices", "stream", 0),
+        ("fileio", "write_indices", "path", 1),
+        ("fileio", "write_bits", "stream", 0),
+        ("fileio", "write_bits", "path", 1),
+        ("fileio", "read_indices", "path", 0),
+    ]
+    for module, fn, name, index in probed:
         function = getattr(importlib.import_module(f"qwrng.{module}"), fn)
         params = list(inspect.signature(function).parameters)
         assert params[index] == name, f"{module}.{fn}"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qwrng import (
     CoinSchedule,
     Distribution,
-    SampleStream,
+    fileio,
     initial_state,
     load_target,
     loss_gradient,
@@ -215,8 +215,8 @@ def _at_chunk_edges(test):
 @given(st.integers(1, 70), st.integers(1, 80), st.integers(0, 2**32 - 1))
 @_at_chunk_edges
 def test_sample_files_round_trip_at_every_width(workdir, n_outcomes, count, seed):
-    # the files a stream drawn as it is written gives equal those of the same
-    # draw held in memory, and both equal the one-piece encodings
+    # the files a stream drawn as it is written gives equal the one-piece
+    # encodings of the same draw held in memory
     weights = np.random.default_rng(seed).dirichlet(np.ones(n_outcomes))
     source = Distribution(n_outcomes - 1, weights / weights.sum())
     outcomes = draw(build_sampler(source, seed), count).outcomes
@@ -224,19 +224,14 @@ def test_sample_files_round_trip_at_every_width(workdir, n_outcomes, count, seed
     bits = encode_bits(outcomes, n_outcomes)
     meta = f"count={count} width={bits.size // count} padding_bits={-bits.size % 8}\n"
     # a chunked stream is read once, so each write gets a fresh one
-    streams = (
-        lambda: SampleStream(outcomes, n_outcomes),
-        lambda: ChunkedStream(build_sampler(source, seed), count),
-    )
-    for stream in streams:
-        write_indices(stream(), workdir / "s.txt")
-        write_bits(stream(), workdir / "s.bits")
-        assert (workdir / "s.txt").read_bytes() == joined
-        assert (workdir / "s.bits").read_bytes() == np.packbits(bits).tobytes()
-        assert (workdir / "s.bits.meta").read_text() == meta
-        assert np.array_equal(read_indices(workdir / "s.txt"), outcomes)
-        assert np.array_equal(read_bits(workdir / "s.bits"), outcomes)
-        assert not list(workdir.glob("*.tmp"))
+    write_indices(ChunkedStream(build_sampler(source, seed), count), workdir / "s.txt")
+    write_bits(ChunkedStream(build_sampler(source, seed), count), workdir / "s.bits")
+    assert (workdir / "s.txt").read_bytes() == joined
+    assert (workdir / "s.bits").read_bytes() == np.packbits(bits).tobytes()
+    assert (workdir / "s.bits.meta").read_text() == meta
+    assert np.array_equal(read_indices(workdir / "s.txt"), outcomes)
+    assert np.array_equal(read_bits(workdir / "s.bits"), outcomes)
+    assert not list(workdir.glob("*.tmp"))
 
 
 @PROPERTY
@@ -253,9 +248,11 @@ def test_successive_draws_continue_one_stream(first, second, seed):
 
 @pytest.mark.parametrize("n_outcomes", [1, 9, 10, 11, 99, 100, 101, 257, 1001])
 def test_index_writer_matches_the_join_reference(workdir, n_outcomes):
-    rng = np.random.default_rng(n_outcomes)
-    outcomes = np.concatenate([np.arange(n_outcomes), rng.integers(0, n_outcomes, 300)])
-    write_indices(SampleStream(outcomes, n_outcomes), workdir / "w.txt")
+    source = Distribution(n_outcomes - 1, np.full(n_outcomes, 1 / n_outcomes))
+    count = 20 * n_outcomes + 300
+    outcomes = draw(build_sampler(source, n_outcomes), count).outcomes
+    assert np.unique(outcomes).size == n_outcomes  # every row of the writer's table is used
+    write_indices(ChunkedStream(build_sampler(source, n_outcomes), count), workdir / "w.txt")
     reference = "\n".join(map(str, outcomes.tolist())) + "\n"
     assert (workdir / "w.txt").read_bytes() == reference.encode("ascii")
 
@@ -264,6 +261,11 @@ def _line_reader(text: str) -> list[int]:
     """The line-by-line reader that non-digit index files take: ``int`` per line."""
     (values,) = _columns(text, (int,), "an integer index")
     return values
+
+
+#: Block sizes the index reader runs at: less than a line, a few lines, and
+#: the default, which holds these small files whole.
+BLOCKS = [1, 3, 64, fileio._BLOCK]
 
 
 DIGIT_LINES = st.lists(
@@ -278,7 +280,10 @@ def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline
     text = "\n".join(lines) + ("\n" if final_newline else "")
     assert _digit_lines(text.encode("ascii")) is not None  # the array path takes this file
     (workdir / "d.txt").write_bytes(text.encode("ascii"))
-    assert read_indices(workdir / "d.txt").tolist() == _line_reader(text)
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_BLOCK", block)
+            assert read_indices(workdir / "d.txt").tolist() == _line_reader(text)
 
 
 @pytest.mark.parametrize(
@@ -290,16 +295,23 @@ def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline
         (b"3\r\n", [3]),
         (b"1000000000000000000\n", [10**18]),  # 19 digits: past the array path
         ("4\n\u22123\n".encode("utf-8"), "non-negative"),
+        # below the default block, the line reader takes over after array blocks
+        pytest.param(b"7\n" * 40 + b" 3 \r\n\n12\n", [7] * 40 + [3, 12], id="late-crlf"),
+        pytest.param(b"7\n" * 40 + b"  \n\nx\n", "^line 43: expected an integer", id="late-garbage"),
+        pytest.param(b"7\n" * 40 + b"%d\n" % 10**20, "^line 41: sample index 10+ is too", id="late-big"),
     ],
 )
 def test_other_index_files_take_the_line_reader(workdir, data, expected):
     assert _digit_lines(data) is None
     (workdir / "f.txt").write_bytes(data)
-    if isinstance(expected, str):
-        with pytest.raises(ValueError, match=expected):
-            read_indices(workdir / "f.txt")
-    else:
-        assert read_indices(workdir / "f.txt").tolist() == expected
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_BLOCK", block)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=expected):
+                    read_indices(workdir / "f.txt")
+            else:
+                assert read_indices(workdir / "f.txt").tolist() == expected
 
 
 GARBAGE = st.sampled_from(["x", "1,2,3,4", "0.5,abc", "--1", "1;0"])
@@ -324,5 +336,8 @@ def test_garbage_row_is_named_by_its_line_number(workdir, data, kind):
             lineno = len(lines)
     path = workdir / "garbage.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
-        reader(path)
+    for block in BLOCKS:  # small blocks give the index reader array blocks before the garbage
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_BLOCK", block)
+            with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+                reader(path)

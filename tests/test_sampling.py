@@ -18,7 +18,7 @@ from qwrng import (
     uniform_target,
     unpack_bits,
 )
-from qwrng.sampling import _CHUNK, SampleStream, bit_width, bits_to_indices
+from qwrng.sampling import _CHUNK, SampleStream, bit_width
 
 #: chi-square upper critical value at the 1% level for four degrees of freedom
 CHI2_CRIT_DOF4_1PCT = 13.276704135987622
@@ -187,7 +187,7 @@ class TestEncoding:
             decode_bits(np.array([1, 0], dtype=np.uint8), 5)
 
     def test_regrouping_by_width(self):
-        assert list(bits_to_indices(np.array([1, 0, 0, 0, 1, 1], dtype=np.uint8), 3)) == [4, 3]
+        assert list(decode_bits(np.array([1, 0, 0, 0, 1, 1], dtype=np.uint8), 5)) == [4, 3]
 
 
 class TestPacking:
