@@ -3,12 +3,12 @@ streams; this module alone reads them and writes them, each file atomically.
 
 Sample streams move in chunks both ways, so memory does not grow with their
 length: the writers encode and write a :class:`sampling.ChunkedStream` as it
-is drawn, and :func:`iter_indices` reads an index file in blocks of whole
-lines.  Before the first chunk, a writer checks that the target's file system
-has room for the payload, so an impossible count fails at once instead of
-filling the disk.  An existing target that is not a regular file (a FIFO, a
-device, a symlink to either) is refused: replacing it would break whatever
-reads it.
+is drawn, and :func:`iter_indices` reads every index file one block of whole
+lines at a time, parsing each block on its own.  Before the first chunk, a
+writer checks that the target's file system has room for the payload, so an
+impossible count fails at once instead of filling the disk.  An existing
+target that is not a regular file (a FIFO, a device, a symlink to either) is
+refused: replacing it would break whatever reads it.
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, and rows are emitted in a fixed sort order, so writing the
@@ -73,13 +73,16 @@ def _table(header: str, row_format: str, rows: Iterable[Sequence]) -> str:
     return "\n".join([header, *starmap(row_format.format, rows)]) + "\n"
 
 
-def _columns(text: str, kinds: Sequence[type], layout: str, skip: int = 0) -> list[list]:
+def _columns(
+    text: str, kinds: Sequence[type], layout: str, skip: int = 0, first: int = 1
+) -> list[list]:
     """Read the non-blank lines of ``text`` after the first ``skip`` as
     comma-separated rows, converting column ``j`` with ``kinds[j]``; return one
     list per column.  The typographic minus of hand-written files reads as '-'.
 
     Each column is converted in one call; only when that fails does a second,
-    line-by-line pass find the first bad line and name it (counting from 1).
+    line-by-line pass find the first bad line and name it, counting from
+    ``first``, the number of the text's first line in its file.
     """
     lines = text.replace("−", "-").splitlines()
     rows = list(filter(str.strip, lines))[skip:]
@@ -93,7 +96,7 @@ def _columns(text: str, kinds: Sequence[type], layout: str, skip: int = 0) -> li
             return [list(map(kind, cells[j :: len(kinds)])) for j, kind in enumerate(kinds)]
     except ValueError:
         pass
-    for lineno, line in [(n, line) for n, line in enumerate(lines, 1) if line.strip()][skip:]:
+    for lineno, line in [(n, line) for n, line in enumerate(lines, first) if line.strip()][skip:]:
         parts = line.split(",")
         try:
             if len(parts) == len(kinds):
@@ -177,7 +180,7 @@ def write_schedule(schedule: CoinSchedule, path: str | Path) -> None:
 
 
 def read_schedule(path: str | Path) -> CoinSchedule:
-    return schedule_from_text(Path(path).read_text(encoding="utf-8"))
+    return schedule_from_text(Path(path).read_text(encoding="utf-8", errors="replace"))
 
 
 # --- distributions and targets --------------------------------------------
@@ -226,7 +229,7 @@ def write_distribution(dist: Distribution, path: str | Path) -> None:
 
 
 def read_distribution(path: str | Path, steps: int | None = None) -> Distribution:
-    return load_target(Path(path).read_text(encoding="utf-8"), steps)
+    return load_target(Path(path).read_text(encoding="utf-8", errors="replace"), steps)
 
 
 # --- training traces ------------------------------------------------------
@@ -268,9 +271,9 @@ _BLOCK = 2**16
 _MAX_FAST_DIGITS = 18
 
 
-def _digit_lines(data: bytes) -> np.ndarray | None:
-    """The non-blank lines of ``data`` as int64, when every byte is a digit
-    or a newline and no line is longer than ``_MAX_FAST_DIGITS``; else None."""
+def _digit_lines(data: bytes) -> tuple[np.ndarray, int] | None:
+    """``data``'s non-blank lines as int64 and its count of newlines, when every
+    byte is a digit or a newline and no line exceeds ``_MAX_FAST_DIGITS``; else None."""
     raw = np.frombuffer(data, np.uint8)
     digits = raw - np.uint8(ord("0"))  # any byte below "0" wraps above 9
     newline = raw == ord("\n")
@@ -278,7 +281,7 @@ def _digit_lines(data: bytes) -> np.ndarray | None:
         return None
     ends = np.flatnonzero(np.append(newline, True))  # a final line may lack its newline
     lengths = np.diff(ends, prepend=-1) - 1
-    ends, lengths = ends[lengths > 0], lengths[lengths > 0]
+    breaks, ends, lengths = ends.size - 1, ends[lengths > 0], lengths[lengths > 0]
     longest = int(lengths.max(initial=0))
     if longest > _MAX_FAST_DIGITS:
         return None
@@ -286,43 +289,44 @@ def _digit_lines(data: bytes) -> np.ndarray | None:
     for k in range(longest, 0, -1):  # Horner's rule, most significant digit first
         values *= 10
         values += np.where(lengths >= k, digits[ends - k], 0)
-    return values
+    return values, breaks
 
 
-def _line_indices(text: str, skip: int) -> np.ndarray:
-    """The non-blank lines of ``text`` after the first ``skip``, read with ``int``
-    (which also accepts spaces, ``+``, ``_`` and CRLF) and named by line number."""
-    (values,) = _columns(text, (int,), "an integer index", skip=skip)
+def _line_indices(data: bytes, first: int) -> tuple[np.ndarray, int]:
+    """The non-blank lines of ``data`` read with ``int`` (which also accepts
+    spaces, ``+``, ``_`` and CRLF) and its number of lines, the first being
+    line ``first`` of its file.  A byte that is not UTF-8 reads as U+FFFD,
+    which no integer holds, so its line is named like any other bad line."""
+    text = data.decode("utf-8", errors="replace")
+    (values,) = _columns(text, (int,), "an integer index", first=first)
     try:
         arr = np.array(values, dtype=np.int64)
     except OverflowError:
         k, big = next((k, v) for k, v in enumerate(values) if v >= 2**63 or v < -(2**63))
         if big < 0:
             raise ValueError("sample indices must be non-negative") from None
-        lineno = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][skip + k]
+        lineno = [n for n, line in enumerate(text.splitlines(), first) if line.strip()][k]
         raise ValueError(
             f"line {lineno}: sample index {big} is too large for a 64-bit integer"
         ) from None
     if arr.size and arr.min() < 0:
         raise ValueError("sample indices must be non-negative")
-    return arr
+    return arr, len(text.splitlines())  # as _columns numbers them: \x0c and \x1c end lines too
 
 
 def iter_indices(path: str | Path) -> Iterator[np.ndarray]:
-    """Outcome indices, one per non-blank line, as int64 chunks.
+    """Outcome indices, one per non-blank line, as int64 chunks, one per block
+    of whole lines.
 
-    Blocks of whole lines made only of digits and newlines, at most 18 digits
-    a line, are parsed with array arithmetic; from the first other block on,
-    the file is read line by line, still counting lines from its start.
+    Each block is parsed on its own: with array arithmetic when it holds only
+    digits and newlines, at most 18 digits a line, else line by line.  Lines
+    are counted from the top of the file, so ``line N:`` diagnostics are exact.
     """
-    done = 0
+    done = lines = 0
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK) + fh.readline():
-            values = _digit_lines(block)
-            if values is None:
-                fh.seek(0)  # the line reader reads the whole file and leaves fh at its end
-                values = _line_indices(fh.read().decode("utf-8"), skip=done)
-            done += values.size
+            values, breaks = _digit_lines(block) or _line_indices(block, first=lines + 1)
+            done, lines = done + values.size, lines + breaks
             yield values
     if not done:
         raise ValueError("no sample indices found")

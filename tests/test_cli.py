@@ -573,7 +573,7 @@ def test_interrupt_is_one_error_line_and_leaves_no_temporary(
 MEMORY_BOUND = 8 * 2**20
 
 
-@pytest.mark.parametrize("command", ["sample", "analyze"])
+@pytest.mark.parametrize("command", ["sample", "analyze", "analyze-crlf"])
 def test_memory_does_not_grow_with_the_sample_count(command, workspace, tmp_path):
     samples = tmp_path / "s.txt"
     argv = {
@@ -582,11 +582,13 @@ def test_memory_does_not_grow_with_the_sample_count(command, workspace, tmp_path
         "analyze": ["analyze", "--samples", str(samples), "--target", "uniform",
                     "--steps", "4", "--out", str(tmp_path / "r.csv")],
     }
-    if command == "analyze":
+    if command.startswith("analyze"):
         assert main(argv["sample"]) == 0
+    if command == "analyze-crlf":  # a first block for the line reader, then array blocks
+        samples.write_bytes(b"\r\n" + samples.read_bytes())
     tracemalloc.start()
     try:
-        assert main(argv[command]) == 0
+        assert main(argv[command.removesuffix("-crlf")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -299,6 +299,13 @@ def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline
         pytest.param(b"7\n" * 40 + b" 3 \r\n\n12\n", [7] * 40 + [3, 12], id="late-crlf"),
         pytest.param(b"7\n" * 40 + b"  \n\nx\n", "^line 43: expected an integer", id="late-garbage"),
         pytest.param(b"7\n" * 40 + b"%d\n" % 10**20, "^line 41: sample index 10+ is too", id="late-big"),
+        # each block is read on its own: after a line-read block, array blocks follow
+        pytest.param(b" 3 \r\n" + b"7\n" * 40, [3] + [7] * 40, id="early-crlf"),
+        pytest.param(
+            b"3\r\n" + b"7\n" * 40 + b"x\n", "^line 42: expected an integer",
+            id="early-crlf-late-garbage",
+        ),
+        pytest.param(b"7\n" * 40 + b"\xff\n", "^line 41: expected an integer index", id="late-undecodable"),
     ],
 )
 def test_other_index_files_take_the_line_reader(workdir, data, expected):
@@ -314,7 +321,8 @@ def test_other_index_files_take_the_line_reader(workdir, data, expected):
                 assert read_indices(workdir / "f.txt").tolist() == expected
 
 
-GARBAGE = st.sampled_from(["x", "1,2,3,4", "0.5,abc", "--1", "1;0"])
+#: "\udcff" is written as the byte 0xff, which is not UTF-8.
+GARBAGE = st.sampled_from(["x", "1,2,3,4", "0.5,abc", "--1", "1;0", "\udcff"])
 FILES = {
     "schedule": (read_schedule, schedule_to_text(CoinSchedule.constant(3, 0.5))),
     "target": (read_distribution, distribution_to_text(uniform_target(3))),
@@ -335,7 +343,7 @@ def test_garbage_row_is_named_by_its_line_number(workdir, data, kind):
         if i == bad:
             lineno = len(lines)
     path = workdir / "garbage.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     for block in BLOCKS:  # small blocks give the index reader array blocks before the garbage
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fileio, "_BLOCK", block)

@@ -23,6 +23,7 @@ from qwrng import (
     uniform_target,
     unpack_bits,
 )
+from qwrng.oracle import dense_walk
 from qwrng.sampling import bit_width
 
 
@@ -50,6 +51,10 @@ CASES = {
     "decode past the last outcome": (
         lambda: decode_bits(np.array([1, 1, 1]), 5),
         "decoded index 7 outside [0, 4]",
+    ),
+    "decode bits at zero width": (
+        lambda: decode_bits(np.array([1], np.uint8), 1),
+        "zero-width encoding cannot carry bits",
     ),
     "unpack padding 8": (
         lambda: unpack_bits(b"\x00", 8),
@@ -103,6 +108,10 @@ CASES = {
         lambda: train(_origin(), Distribution(0, [1.0])),
         "training needs a target over at least one step",
     ),
+    "gaussian of zero steps": (
+        lambda: gaussian_target(0),
+        "a gaussian target needs at least one step, got 0",
+    ),
     "gaussian spec without steps": (
         lambda: target_from_spec("gaussian:0,2", None),
         "a gaussian target needs the number of steps",
@@ -118,6 +127,10 @@ CASES = {
     "schedule of negative steps": (
         lambda: CoinSchedule(-1, []),
         "steps must be non-negative, got -1",
+    ),
+    "dense walk of a three-component coin vector": (
+        lambda: dense_walk(CoinSchedule.constant(1), (1, 0, 0)),
+        "coin vector must have two components, got shape (3,)",
     ),
 }
 

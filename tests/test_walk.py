@@ -310,6 +310,10 @@ class TestCoinSchedule:
         with pytest.raises(ValueError, match="outside"):
             CoinSchedule(1, [1.5])
 
+    def test_repr_is_pinned(self):
+        # the benchmark's digest of every quantize_schedule op hashes this text
+        assert repr(CoinSchedule(2, [0.25, 0.5, 1.0])) == "CoinSchedule(steps=2, ratios=[0.25, 0.5, 1.0])"
+
     def test_entry_count_is_triangular(self):
         assert len(CoinSchedule.constant(4).ratios) == 10
         assert len(CoinSchedule.constant(6).ratios) == 21
