@@ -115,8 +115,8 @@ def quantize_ratio(ratio: float, hwp_resolution_deg: float = DEFAULT_HWP_RESOLUT
     at phi = theta/2; phi is rounded to the nearest multiple of the
     resolution and mapped back through r = cos^2(2*phi).
     """
-    if not (hwp_resolution_deg > 0.0):
-        raise ValueError(f"resolution must be positive, got {hwp_resolution_deg}")
+    if not 0.0 < hwp_resolution_deg < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {hwp_resolution_deg}")
     theta_deg = math.degrees(math.acos(min(1.0, math.sqrt(ratio))))
     phi_q = round((theta_deg / 2.0) / hwp_resolution_deg) * hwp_resolution_deg
     return math.cos(math.radians(2.0 * phi_q)) ** 2

@@ -218,7 +218,10 @@ def load_target(text: str, steps: int | None = None) -> Distribution:
     if bad.size:
         j = int(bad[0])
         raise ValueError(f"probability at position {2 * j - steps} is {placed[j]}, outside [0, 1]")
-    total = math.fsum(placed.tolist())
+    try:
+        total = math.fsum(placed.tolist())
+    except OverflowError:  # the exact sum of finite rows exceeds the largest double
+        total = math.inf
     if abs(total - 1.0) > LOAD_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}; expected 1 within {LOAD_SUM_TOL}")
     return Distribution(steps, placed / total)
@@ -337,6 +340,10 @@ def read_indices(path: str | Path) -> np.ndarray:
     return np.concatenate(list(iter_indices(path)))
 
 
+#: The one sidecar line that :func:`write_bits` writes and :func:`read_bits` reads.
+_BITS_META_RE = re.compile(r"count=(\d+) width=(\d+) padding_bits=([0-7])")
+
+
 def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """Packed bit file plus a one-line sidecar header at ``<path>.meta``.
 
@@ -360,24 +367,25 @@ def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
 
 
 def read_bits(path: str | Path) -> np.ndarray:
-    """Recover the outcome indices written by :func:`write_bits`."""
-    meta_text = Path(f"{path}.meta").read_text(encoding="utf-8").strip()
-    try:
-        fields = dict(item.split("=", 1) for item in meta_text.split())
-        count = int(fields["count"])
-        width = int(fields["width"])
-        padding = int(fields["padding_bits"])
-    except (KeyError, ValueError):
-        raise ValueError(f"malformed sidecar header {meta_text!r}") from None
-    if not 0 <= width < 64:  # an int64 index has at most 63 value bits
-        raise ValueError(f"malformed sidecar header {meta_text!r}")
-    bits = sampling.unpack_bits(Path(path).read_bytes(), padding)
-    idx = sampling.decode_bits(bits, 1 << width)
-    if width == 0:  # a single-outcome stream: every index is 0 and takes no bits
-        idx = np.zeros(count, dtype=np.int64)
-    if idx.size != count:
-        raise ValueError(f"sidecar promises {count} outcomes, file holds {idx.size}")
-    return idx
+    """Recover the outcome indices written by :func:`write_bits`.
+
+    The sidecar must be the line the writer writes, with a width below 64
+    (else a ``malformed sidecar header``), and the payload must hold exactly
+    count x width bits after its padding (else the ``sidecar promises`` other
+    outcomes than the file holds); both are checked before a bit is decoded.
+    """
+    meta = Path(f"{path}.meta").read_text(encoding="utf-8", errors="replace").strip()
+    match = _BITS_META_RE.fullmatch(meta)
+    if not match or int(match[2]) >= 64:  # an int64 index has at most 63 value bits
+        raise ValueError(f"malformed sidecar header {meta!r}")
+    count, width, padding = map(int, match.groups())
+    payload = Path(path).read_bytes()
+    held = 8 * len(payload) - padding
+    if held != count * width:
+        raise ValueError(f"sidecar promises {count} outcomes of {width} bits, file holds {held}")
+    if not width:  # a single-outcome stream: every index is 0 and takes no bits
+        return np.zeros(count, dtype=np.int64)
+    return sampling.decode_bits(sampling.unpack_bits(payload, padding), 1 << width)
 
 
 # --- analysis reports -----------------------------------------------------

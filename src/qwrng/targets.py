@@ -24,7 +24,9 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     ``T(m)`` is proportional to ``exp(-(m - mu)^2 / (2 sigma^2))`` over the
     parity-correct sites; the weights are shifted in log space before
     exponentiation so extreme parameters cannot underflow to an all-zero
-    vector.
+    vector.  Parameters so extreme that even the nearest site's log weight
+    is not finite (its squared distance or sigma's square over- or
+    underflows) are rejected.
     """
     if steps < 1:
         raise ValueError(f"a gaussian target needs at least one step, got {steps}")
@@ -33,8 +35,15 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     sites = np.arange(-steps, steps + 1, 2, dtype=float)
-    log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)
-    w = np.exp(log_w - log_w.max())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)
+    # a far-off site may overflow to -inf and weigh 0, but the nearest must stay finite
+    peak = log_w.max()
+    if not math.isfinite(peak):
+        raise ValueError(
+            f"gaussian mu={mu!r}, sigma={sigma!r} gives no finite weight on a {steps}-step walk"
+        )
+    w = np.exp(log_w - peak)
     w /= w.sum()
     return Distribution(steps, w)
 

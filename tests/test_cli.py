@@ -503,6 +503,21 @@ class TestAnalyze:
         assert code == 1
         assert "schedule" in capsys.readouterr().err
 
+    def test_infinite_quantize_resolution_is_one_error_line(
+        self, workspace, samples, tmp_path, capsys
+    ):
+        argv = [
+            "analyze",
+            "--samples", str(samples),
+            "--target", "uniform",
+            "--schedule", str(workspace["schedule"]),
+            "--quantize-deg", "inf",
+            "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: resolution must be positive and finite, got inf\n"
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestParser:
     def test_unknown_command_exits_one(self, capsys):
@@ -634,6 +649,29 @@ def test_non_finite_gaussian_mean_is_one_error_line(mu, tmp_path, capsys):
     argv = ["analyze", "--samples", str(samples), "--target", f"gaussian:{mu},1", "--steps", "4"]
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: mu must be finite, got {mu}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu, sigma", [("0", "1e-200"), ("1e308", "1e-308")])
+def test_gaussian_without_a_finite_weight_is_one_error_line(mu, sigma, tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    argv = ["train", "--steps", "4", "--target", f"gaussian:{mu},{sigma}", "--out", str(out)]
+    assert main(argv + ["--log", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: gaussian mu={float(mu)!r}, sigma={float(sigma)!r}"
+        " gives no finite weight on a 4-step walk\n"
+    )
+    assert not out.exists()
+
+
+def test_target_whose_sum_overflows_is_one_error_line(samples, tmp_path, capsys):
+    target = tmp_path / "t.csv"
+    target.write_text("position,probability\n-2,1e308\n0,1e308\n2,0\n")
+    out = tmp_path / "r.csv"
+    argv = ["analyze", "--samples", str(samples), "--target", f"file:{target}", "--out", str(out)]
+    assert main(argv + ["--steps", "2"]) == 1
+    assert capsys.readouterr().err == "error: probabilities sum to inf; expected 1 within 1e-06\n"
     assert not out.exists()
 
 

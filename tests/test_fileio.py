@@ -169,11 +169,31 @@ class TestSampleFiles:
             "nonsense\n",
             "count=100 width=64 padding_bits=4\n",  # an int64 index has at most 63 value bits
             "count=100 width=-1 padding_bits=4\n",
+            "count=-1 width=0 padding_bits=0\n",
+            "count=100 count=100 width=3 padding_bits=4\n",
+            "width=3 count=100 padding_bits=4\n",
+            "count=100 width=3 padding_bits=4\xff",
         ]
         for meta in malformed:
-            meta_path.write_text(meta)
+            meta_path.write_bytes(meta.encode("latin-1"))  # \xff: one byte that is not UTF-8
             with pytest.raises(ValueError, match="^malformed sidecar"):
                 read_bits(path)
+        # the payload must hold exactly count x width bits: one byte short or long is not
+        meta_path.write_text("count=100 width=3 padding_bits=4\n")
+        payload = path.read_bytes()
+        for wrong in [payload[:-1], payload + b"\0"]:
+            path.write_bytes(wrong)
+            with pytest.raises(ValueError, match="^sidecar promises 100 outcomes"):
+                read_bits(path)
+        path.write_bytes(payload)
+        assert read_bits(path).size == 100
+        # a single-outcome stream takes no bits, so a stray payload byte is a mismatch
+        write_bits(ChunkedStream(build_sampler(Distribution(0, [1.0]), 0), 10), path)
+        assert path.read_bytes() == b""
+        assert meta_path.read_text() == "count=10 width=0 padding_bits=0\n"
+        path.write_bytes(b"\0")
+        with pytest.raises(ValueError, match="^sidecar promises 10 outcomes"):
+            read_bits(path)
 
 
 class TestReports:

@@ -2,8 +2,9 @@
 oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
 up to the oracle's size cap, and the adjoint gradient), and the file formats
 (byte-exact round trips, every bit width, streamed sample files against
-one-piece ones across chunk edges, line-numbered diagnostics, and the
-array-speed index codec against the plain line-by-line one)."""
+one-piece ones across chunk edges, line-numbered diagnostics, the
+array-speed index codec against the plain line-by-line one, and the two
+ways a mutated bit file may fail)."""
 
 import math
 
@@ -232,6 +233,74 @@ def test_sample_files_round_trip_at_every_width(workdir, n_outcomes, count, seed
     assert np.array_equal(read_indices(workdir / "s.txt"), outcomes)
     assert np.array_equal(read_bits(workdir / "s.bits"), outcomes)
     assert not list(workdir.glob("*.tmp"))
+
+
+#: How :func:`read_bits` may reject a bit file: the two failure kinds it has.
+BITS_REJECTIONS = ("malformed sidecar header", "sidecar promises")
+
+# a sidecar field's value as the writer never writes it
+FIELD_VALUES = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["", "+3", "1_0", "03", " 3", "3.0", "0x3", "٣", "9" * 30]),
+)
+
+
+def _mutated_bit_file(data, meta: bytes, payload: bytes) -> tuple[bytes, bytes]:
+    """``meta`` and ``payload`` with one mutation drawn: a sidecar byte
+    replaced, inserted or deleted, a field's value, key order, key set or
+    encoding changed, or the payload made short or long."""
+    kind = data.draw(st.sampled_from(
+        ["replace", "insert", "delete", "value", "reorder", "repeat", "extra", "utf8",
+         "short", "long"]
+    ))
+    fields = meta.split()
+    k = data.draw(st.integers(0, len(fields) - 1))
+    at = data.draw(st.integers(0, len(meta) - 1))
+    byte = data.draw(st.binary(min_size=1, max_size=1))
+    if kind == "replace":
+        meta = meta[:at] + byte + meta[at + 1:]
+    elif kind == "insert":
+        meta = meta[:at] + byte + meta[at:]
+    elif kind == "delete":
+        meta = meta[:at] + meta[at + 1:]
+    elif kind == "value":
+        fields[k] = fields[k].split(b"=")[0] + b"=" + data.draw(FIELD_VALUES).encode()
+        meta = b" ".join(fields) + b"\n"
+    elif kind == "reorder":
+        meta = b" ".join(data.draw(st.permutations(fields))) + b"\n"
+    elif kind in ("repeat", "extra"):
+        fields.insert(data.draw(st.integers(0, len(fields))),
+                      fields[k] if kind == "repeat" else b"seed=3")
+        meta = b" ".join(fields) + b"\n"
+    elif kind == "utf8":
+        meta = meta[:at] + b"\xff" + meta[at:]
+    else:
+        cut = data.draw(st.integers(1, 3))
+        payload = payload[:-cut] if kind == "short" else payload + bytes(cut)
+    return meta, payload
+
+
+@settings(PROPERTY, max_examples=200)  # about 20 of each mutation kind
+@given(st.data(), st.integers(2, 70), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_mutated_bit_file_reads_back_or_fails_in_one_of_two_ways(
+    workdir, data, n_outcomes, count, seed
+):
+    # width 0 is left out: its payload is empty, so its count is the sidecar's alone
+    weights = np.random.default_rng(seed).dirichlet(np.ones(n_outcomes))
+    source = Distribution(n_outcomes - 1, weights / weights.sum())
+    outcomes = draw(build_sampler(source, seed), count).outcomes
+    path = workdir / "m.bits"
+    write_bits(ChunkedStream(build_sampler(source, seed), count), path)
+    meta_path = workdir / "m.bits.meta"
+    meta, payload = _mutated_bit_file(data, meta_path.read_bytes(), path.read_bytes())
+    meta_path.write_bytes(meta)
+    path.write_bytes(payload)
+    try:
+        back = read_bits(path)
+    except ValueError as exc:
+        assert str(exc).startswith(BITS_REJECTIONS), exc
+    else:
+        assert np.array_equal(back, outcomes)
 
 
 @PROPERTY

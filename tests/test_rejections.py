@@ -23,6 +23,7 @@ from qwrng import (
     uniform_target,
     unpack_bits,
 )
+from qwrng.analysis import quantize_ratio
 from qwrng.oracle import dense_walk
 from qwrng.sampling import bit_width
 
@@ -107,6 +108,18 @@ CASES = {
     "train on a 0-step target": (
         lambda: train(_origin(), Distribution(0, [1.0])),
         "training needs a target over at least one step",
+    ),
+    "gaussian whose sigma squared underflows": (
+        lambda: gaussian_target(4, mu=0.0, sigma=1e-200),
+        "gaussian mu=0.0, sigma=1e-200 gives no finite weight on a 4-step walk",
+    ),
+    "quantize at an infinite resolution": (
+        lambda: quantize_ratio(0.5, float("inf")),
+        "resolution must be positive and finite, got inf",
+    ),
+    "target whose sum overflows": (
+        lambda: load_target("-2,1e308\n0,1e308\n2,0\n"),
+        "probabilities sum to inf; expected 1 within 1e-06",
     ),
     "gaussian of zero steps": (
         lambda: gaussian_target(0),

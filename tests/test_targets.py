@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,11 @@ class TestGaussian:
         t = gaussian_target(4, mu=500.0, sigma=0.5)
         assert abs(sum(t.probs.values()) - 1.0) <= 1e-12
         assert t.probs[4] == max(t.probs.values())
+        # a sigma this small puts all mass on the site at mu; far sites overflow to weight 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in (1e-150, 1e-160):
+                assert gaussian_target(4, mu=0.0, sigma=sigma).values.tolist() == [0, 0, 1, 0, 0]
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
