@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .training import _check_same_support, _fidelity
 from .walk import CoinSchedule, Distribution, WalkState, _forward, _triangle
@@ -54,6 +53,8 @@ def chi_square_p_value(statistic: float, dof: int) -> float:
         raise ValueError(f"statistic must be non-negative, got {statistic}")
     if dof < 1:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
+    from scipy.special import gammaincc  # here, not at the top: only analyze pays its import
+
     return float(gammaincc(dof / 2.0, statistic / 2.0))
 
 

@@ -11,7 +11,9 @@ without converging (artifacts are still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import warnings
 
 from . import fileio
 from .analysis import chi_square_test, entropy_report, quantize_schedule
@@ -157,6 +159,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qwrng",
@@ -223,14 +226,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    try:
-        return args.func(args)
-    except (ValueError, OSError, MemoryError, OverflowError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 1
+    # warnings are shown only once the command has succeeded, so that a failing
+    # run's stderr is its one error line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (ValueError, OSError, MemoryError, OverflowError) as exc:
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 1
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -691,3 +692,67 @@ def test_analyze_steps_must_match_the_schedule(steps, code, workspace, samples, 
         assert err == "error: --steps 6 does not match the 4-step schedule\n"
     else:
         assert err == "" and (tmp_path / "r.csv").exists()
+
+
+def _fresh(argv):
+    """``argv`` run as ``python -m qwrng.cli`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qwrng.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "qwrng.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_failing_run_shows_no_warning_before_its_error_line(workspace, tmp_path):
+    # two samples over five sites: the chi-square warns before the quantization fails
+    samples = tmp_path / "two.txt"
+    samples.write_text("0\n4\n")
+    argv = ["analyze", "--samples", str(samples), "--target", "uniform",
+            "--schedule", str(workspace["schedule"])]
+    failed = _fresh(argv + ["--quantize-deg", "inf", "--out", str(tmp_path / "f.csv")])
+    assert failed.returncode == 1
+    assert failed.stderr == "error: resolution must be positive and finite, got inf\n"
+    assert not (tmp_path / "f.csv").exists()
+    # a run that succeeds still shows the warning, as Python formats it, at the same call
+    done = _fresh(argv + ["--quantize-deg", "0.25", "--out", str(tmp_path / "r.csv")])
+    assert done.returncode == 0
+    source = Path(qwrng.cli.__file__).read_text().splitlines()
+    call = "chi2 = chi_square_test(counts, target)"
+    lineno = next(n for n, line in enumerate(source, 1) if line.strip() == call)
+    assert done.stderr == (
+        f"{qwrng.cli.__file__}:{lineno}: UserWarning: only 2 observations over 5 sites;"
+        f" the chi-square approximation may be poor\n  {call}\n"
+    )
+    assert _read_report(tmp_path / "r.csv")["samples"] == "2"
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # each later call sets options the earlier ones left at their defaults, and
+    # the reverse, so a value kept from one parse would change an artifact
+    runs = [
+        (["train", "--steps", "4", "--target", "uniform", "--eta", "0.2", "--init", "rand:3",
+          "--max-iters", "7", "--out", "{d}/a.sched", "--log", "{d}/a.csv"], 2),
+        (["train", "--steps", "3", "--target", "uniform", "--fidelity-goal", "0.5",
+          "--bogus", "--out", "{d}/x.sched", "--log", "{d}/x.csv"], 1),
+        (["sample", "--schedule", "{d}/a.sched", "--initial", "L", "--count", "999",
+          "--seed", "5", "--format", "bits", "--out", "{d}/s.bits"], 0),
+        (["sample", "--schedule", "{d}/a.sched", "--count", "999",
+          "--seed", "5", "--out", "{d}/s.txt"], 0),
+        (["train", "--steps", "4", "--target", "uniform",
+          "--out", "{d}/b.sched", "--log", "{d}/b.csv"], 0),
+    ]
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    for d in (same, fresh):
+        d.mkdir()
+    for argv, code in runs:
+        assert main([a.format(d=same) for a in argv]) == code
+        err = capsys.readouterr().err
+        proc = _fresh([a.format(d=fresh) for a in argv])
+        assert proc.returncode == code
+        assert err == proc.stderr
+        if code == 1:
+            assert err == "error: unrecognized arguments: --bogus\n"
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in same.iterdir())
+    assert names == ["a.csv", "a.sched", "b.csv", "b.sched", "s.bits", "s.bits.meta", "s.txt"]
+    for name in names:
+        assert (same / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -1,12 +1,18 @@
 """The package surface: ``qwrng.__all__`` lists exactly the public names it
-binds, and the names the benchmark's tracer and workloads call still exist."""
+binds, the names the benchmark's tracer and workloads call still exist, and
+only ``analyze`` imports scipy."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
+
+from test_golden import CLI_DIGESTS
 
 import qwrng
 
@@ -74,3 +80,40 @@ def test_benchmark_workloads_set_up_and_their_first_ops_check(tmp_path):
         (tmp_path / name).mkdir()
         op = workloads.make(name, 1, tmp_path / name)[0]
         op.check(op.call())
+
+
+#: The golden CLI chain (``tests/test_golden.py``) in a fresh interpreter,
+#: with ``simulate`` and a bits ``sample`` besides, checking ``sys.modules``
+#: before and after ``analyze``.
+ONLY_ANALYZE_IMPORTS_SCIPY = """
+import sys
+from pathlib import Path
+
+import qwrng, qwrng.cli
+
+root = Path(sys.argv[1])
+sched = str(root / "u.sched")
+main = qwrng.cli.main
+assert main(["train", "--steps", "4", "--target", "uniform",
+             "--out", sched, "--log", str(root / "u.trace.csv")]) == 0
+assert main(["simulate", "--schedule", sched, "--out", str(root / "u.dist.csv")]) == 0
+sample = ["sample", "--schedule", sched, "--seed", "7", "--count", "50000"]
+assert main(sample + ["--format", "bits", "--out", str(root / "s.bits")]) == 0
+assert main(sample + ["--out", str(root / "s.txt")]) == 0
+assert "scipy" not in sys.modules, [m for m in sys.modules if m.startswith("scipy")][:3]
+assert main(["analyze", "--samples", str(root / "s.txt"), "--target", "uniform",
+             "--steps", "4", "--out", str(root / "a.csv")]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_analyze_imports_scipy(tmp_path):
+    # scipy is most of a bare command's start-up, and only the chi-square p-value needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(qwrng.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", ONLY_ANALYZE_IMPORTS_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = (tmp_path / "a.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == CLI_DIGESTS["analyze"]
