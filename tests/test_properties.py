@@ -366,7 +366,7 @@ def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline
         (b" 3\n", [3]),
         (b"+3\n", [3]),
         (b"1_0\n", [10]),
-        (b"3\r4\n", [3, 4]),  # a \r that does not end a line (a \r\n takes the array path)
+        (b"3\r\n", [3]),  # the array path reads a bare CRLF file too: both readers must agree
         (b"1000000000000000000\n", [10**18]),  # 19 digits: past the array path
         ("4\n\u22123\n".encode("utf-8"), "non-negative"),
         # below the default block, the line reader takes over after array blocks
@@ -380,6 +380,7 @@ def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline
             id="early-crlf-late-garbage",
         ),
         pytest.param(b"7\n" * 40 + b"\xff\n", "^line 41: expected an integer index", id="late-undecodable"),
+        pytest.param(b"3\r4\n", [3, 4], id="lone-cr"),  # a \r that does not end a line
         pytest.param(b"3\r", [3], id="final-cr"),
         pytest.param(b"3\r\r\n5\n", [3, 5], id="cr-before-crlf"),
         pytest.param(b"7\r\n" * 40 + b"3\r4\n", [7] * 40 + [3, 4], id="late-lone-cr"),
@@ -389,7 +390,10 @@ def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline
     ],
 )
 def test_other_index_files_take_the_line_reader(workdir, data, expected):
-    assert _digit_lines(data) is None
+    if data == b"3\r\n":
+        assert _digit_lines(data)[0].tolist() == _line_indices(data, first=1)[0].tolist() == expected
+    else:
+        assert _digit_lines(data) is None
     (workdir / "f.txt").write_bytes(data)
     for block in BLOCKS:
         with pytest.MonkeyPatch.context() as patch:
