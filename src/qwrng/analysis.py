@@ -76,12 +76,6 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
     total = int(observed.sum())
     if total < 1:
         raise ValueError("chi-square test needs at least one observation")
-    if total < 5 * sites:
-        warnings.warn(
-            f"only {total} observations over {sites} sites;"
-            " the chi-square approximation may be poor",
-            stacklevel=2,
-        )
     # summed term by term in site order over Python floats, so reports keep their bytes
     statistic = 0.0
     for j, (o, p) in enumerate(zip(observed.tolist(), target.values.tolist())):
@@ -93,6 +87,12 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
             continue
         statistic += (o - expected) ** 2 / expected
     dof = target.steps
+    if total < 5 * sites:  # only once every check has passed: a rejected count shows its error alone
+        warnings.warn(
+            f"only {total} observations over {sites} sites;"
+            " the chi-square approximation may be poor",
+            stacklevel=2,
+        )
     return ChiSquareReport(
         statistic=float(statistic),
         dof=dof,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import warnings
 
 from . import fileio
 from .analysis import chi_square_test, entropy_report, quantize_schedule
@@ -133,6 +132,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # tallied block by block, so memory does not grow with the sample count
     counts = sum(counts_by_position(c, target.steps) for c in fileio.iter_indices(args.samples))
     empirical = Distribution(target.steps, counts / counts.sum())
+    quantization: list[tuple[str, object]] = []
+    if args.quantize_deg is not None:  # ahead of the chi-square: no failure follows its warning
+        coin_vector = NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE]
+        coarse = quantize_schedule(schedule, args.quantize_deg)
+        exact = fidelity(_output(schedule, coin_vector), target)
+        quantized = fidelity(_output(coarse, coin_vector), target)
+        quantization = [
+            ("schedule_fidelity", exact),
+            ("quantized_fidelity", quantized),
+            ("quantized_fidelity_delta", exact - quantized),
+        ]
     chi2 = chi_square_test(counts, target)
     shannon, min_entropy = entropy_report(empirical)
 
@@ -145,17 +155,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ("min_entropy_bits", min_entropy),
         ("empirical_fidelity", fidelity(empirical, target)),
     ]
-    if args.quantize_deg is not None:
-        coin_vector = NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE]
-        coarse = quantize_schedule(schedule, args.quantize_deg)
-        exact = fidelity(_output(schedule, coin_vector), target)
-        quantized = fidelity(_output(coarse, coin_vector), target)
-        rows += [
-            ("schedule_fidelity", exact),
-            ("quantized_fidelity", quantized),
-            ("quantized_fidelity_delta", exact - quantized),
-        ]
-    fileio.write_report(rows, args.out)
+    fileio.write_report(rows + quantization, args.out)
     return 0
 
 
@@ -226,20 +226,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    # warnings are shown only once the command has succeeded, so that a failing
-    # run's stderr is its one error line
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            code = args.func(args)
-        except (ValueError, OSError, MemoryError, OverflowError) as exc:
-            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-            return 1
-        except KeyboardInterrupt:
-            print("error: interrupted", file=sys.stderr)
-            return 1
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    return code
+    try:
+        return args.func(args)
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -276,23 +276,14 @@ _MAX_FAST_DIGITS = 18
 
 def _digit_lines(data: bytes) -> tuple[np.ndarray, int] | None:
     """``data``'s non-blank lines as int64 and its count of newlines, when every
-    byte is a digit, a newline or a ``\\r`` just before a newline, and no line
-    exceeds ``_MAX_FAST_DIGITS``; else None."""
+    byte is a digit or a newline and no line exceeds ``_MAX_FAST_DIGITS``; else None."""
     raw = np.frombuffer(data, np.uint8)
     digits = raw - np.uint8(ord("0"))  # any byte below "0" wraps above 9
     newline = raw == ord("\n")
-    accepted = (digits < 10) | newline
-    has_cr = b"\r" in data
-    if has_cr:  # a lone \r ends a line for the line reader, so it is refused here
-        cr = raw == ord("\r")
-        accepted |= cr & np.append(newline[1:], False)
-    if not np.all(accepted):
+    if not np.all((digits < 10) | newline):
         return None
     ends = np.flatnonzero(np.append(newline, True))  # a final line may lack its newline
     lengths = np.diff(ends, prepend=-1) - 1
-    if has_cr:  # a \r\n line's digits end before its \r
-        cut = np.append(cr, False)[ends - 1]
-        ends, lengths = ends - cut, lengths - cut
     breaks, ends, lengths = ends.size - 1, ends[lengths > 0], lengths[lengths > 0]
     longest = int(lengths.max(initial=0))
     if longest > _MAX_FAST_DIGITS:
@@ -331,9 +322,8 @@ def iter_indices(path: str | Path) -> Iterator[np.ndarray]:
     of whole lines.
 
     Each block is parsed on its own: with array arithmetic when it holds only
-    digits and ``\\n`` or ``\\r\\n`` line ends, at most 18 digits a line,
-    else line by line.  Lines are counted from the top of the file, so
-    ``line N:`` diagnostics are exact.
+    digits and newlines, at most 18 digits a line, else line by line.  Lines
+    are counted from the top of the file, so ``line N:`` diagnostics are exact.
     """
     done = lines = 0
     with open(path, "rb") as fh:

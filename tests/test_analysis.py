@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,13 @@ class TestChiSquareTest:
     def test_small_sample_warns(self):
         with pytest.warns(UserWarning, match="observations"):
             chi_square_test(np.array([2, 2]), uniform_target(1))
+
+    def test_rejected_small_sample_raises_without_warning(self):
+        # the small-sample warning comes only with a result, never before an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero expected"):
+                chi_square_test(np.array([1, 1]), Distribution(1, [1.0, 0.0]))
 
     def test_permutation_invariance(self):
         counts = [37, 12, 25, 16, 10]

@@ -696,14 +696,11 @@ def test_analyze_steps_must_match_the_schedule(steps, code, workspace, samples, 
 
 def _fresh(argv):
     """``argv`` run as ``python -m qwrng.cli`` in a new interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(qwrng.__file__).resolve().parents[1])}
-    return subprocess.run(
-        [sys.executable, "-m", "qwrng.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, "-m", "qwrng.cli", *argv], capture_output=True, text=True)
 
 
 def test_failing_run_shows_no_warning_before_its_error_line(workspace, tmp_path):
-    # two samples over five sites: the chi-square warns before the quantization fails
+    # two samples over five sites, which the chi-square warns about, and a failing quantization
     samples = tmp_path / "two.txt"
     samples.write_text("0\n4\n")
     argv = ["analyze", "--samples", str(samples), "--target", "uniform",
