@@ -58,8 +58,10 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
         with open(tmp, "wb") as fh:
             fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         Path(tmp).unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # its name changes per process
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -252,17 +254,13 @@ def write_trace(iterations: Iterable[tuple[int, float, float]], path: str | Path
 def write_indices(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """One decimal outcome index per line, at least two bytes each.
 
-    Each outcome's row ``f"{i}\\n"`` is precomputed, NUL-padded to a common
-    width; each chunk's rows are gathered by outcome and the padding dropped.
+    Each outcome's row ``f"{i}\\n"`` is precomputed as NUL-padded fixed-width
+    bytes; each chunk's rows are gathered by outcome and the padding dropped.
     """
-    n = stream.n_outcomes
-    rows = [f"{i}\n" for i in range(n)]
-    width = len(rows[-1])
-    padded = "".join(row.ljust(width, "\0") for row in rows).encode("ascii")
-    table = np.frombuffer(padded, np.uint8).reshape(n, width)
+    table = np.array([f"{i}\n" for i in range(stream.n_outcomes)], dtype=np.bytes_)
 
     def encode(outcomes: np.ndarray) -> bytes:
-        gathered = table.take(outcomes, axis=0)  # ~4x faster than table[outcomes]
+        gathered = table.take(outcomes).view(np.uint8)
         return gathered[gathered != 0].tobytes()
 
     _write(path, map(encode, stream.chunks()), at_least=2 * stream.count)

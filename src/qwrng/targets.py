@@ -32,8 +32,8 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
         raise ValueError(f"a gaussian target needs at least one step, got {steps}")
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (0.0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     sites = np.arange(-steps, steps + 1, 2, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)

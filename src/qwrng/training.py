@@ -1,14 +1,12 @@
 """Gradient-descent training of coin schedules toward a target distribution.
 
 The loss is half the summed squared error between the measured and target
-probabilities.  Its exact gradient with respect to every coin bias ratio
-comes from one reverse (adjoint) sweep through the coin/shift layers: the
-evolution is linear with real coefficients, so the real and imaginary parts
-of the amplitudes backpropagate through the transposed layers independently.
+probabilities, so its gradient by the coin bias ratios is the adjoint sweep
+:func:`qwrng.walk._gradient` applied to the residual, output minus target.
 
 :func:`train` keeps the ratios as one flat array: each iteration is one
-forward pass keeping every state, loss, fidelity and stop check, then one
-adjoint sweep over the kept states and the update, clipped to [0, 1].
+forward pass with loss, fidelity and stop check, then the sweep and the
+update, clipped to [0, 1].
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .walk import CoinSchedule, Distribution, WalkState, _coin, _forward
+from .walk import CoinSchedule, Distribution, WalkState, _forward, _gradient
 
 
 def _check_same_support(y, target: Distribution) -> None:
@@ -50,35 +48,6 @@ def fidelity(y: Distribution, target: Distribution) -> float:
     """
     _check_same_support(y, target)
     return _fidelity(y.values, target.values)
-
-
-def _gradient(forward, residual: np.ndarray) -> np.ndarray:
-    """Adjoint sweep over a forward pass: d(loss)/d(ratio) in schedule order.
-
-    ``residual`` is output minus target probability.  Each step back undoes
-    the shift and applies the (symmetric) coin.  At r = 0 (1) the unbounded
-    slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio clamped onto
-    the boundary keeps a finite gradient.
-    """
-    sr, sq, left, right = forward
-    count, steps = sr.size, residual.size - 1
-    adj_l, adj_r = np.zeros_like(left), np.zeros_like(right)
-    adj_l[:, count:] = 2.0 * residual * left[:, count:]
-    adj_r[:, count:] = 2.0 * residual * right[:, count:]
-    end = count
-    for t in range(steps, 0, -1):
-        start = end - t
-        adj_l[:, start:end], adj_r[:, start:end] = _coin(
-            sr[start:end], sq[start:end], adj_l[:, end : end + t], adj_r[:, end + 1 : end + t + 1]
-        )
-        end = start
-    # the adjoint after the coin of entry k of step t sits at k + t (L), k + t + 1 (R)
-    after = np.arange(count) + np.repeat(np.arange(1, steps + 1), np.arange(1, steps + 1))
-    lam_l, lam_r = adj_l[:, after], adj_r[:, after + 1]
-    psi_l, psi_r = left[:, :count], right[:, :count]
-    d_sr = np.divide(0.5, sr, out=np.zeros_like(sr), where=sr > 0.0)
-    d_sq = np.divide(-0.5, sq, out=np.zeros_like(sq), where=sq > 0.0)
-    return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(0)
 
 
 def loss_gradient(schedule: CoinSchedule, initial: WalkState, target: Distribution) -> np.ndarray:
@@ -198,10 +167,6 @@ def train_multi_start(
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    best: TrainReport | None = None
-    for seed in sorted(set(int(s) for s in seeds)):
-        report = train(initial, target, replace(config, init_seed=seed))
-        if best is None or report.final_fidelity > best.final_fidelity:
-            best = report
-    assert best is not None
-    return best
+    ordered = sorted(set(int(s) for s in seeds))
+    reports = (train(initial, target, replace(config, init_seed=seed)) for seed in ordered)
+    return max(reports, key=lambda report: report.final_fidelity)

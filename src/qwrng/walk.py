@@ -17,7 +17,9 @@ prepends one to R.  Schedules and distributions are flat float64 arrays.
 
 The forward pass also walks a stack of schedules at once: ratio arrays of
 shape ``(..., count)`` give slot buffers of shape ``(2, ..., slots)``, and
-every row evolves exactly as it would alone.
+every row evolves exactly as it would alone.  Its transpose, the adjoint
+sweep :func:`_gradient`, returns ``J^T v`` for a cotangent ``v`` over the
+output probabilities of one pass.
 """
 
 from __future__ import annotations
@@ -262,6 +264,34 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
         )
         start = end
     return (sr, sq, left, right), _probs(left[..., start:], right[..., start:])
+
+
+def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
+    """Adjoint sweep over one unbatched forward pass: ``J^T v`` in schedule
+    order, ``v`` being a ``cotangent`` over the output probabilities.  Each
+    step back undoes the shift and applies the (symmetric) coin.  At r = 0 (1)
+    the unbounded slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio
+    clamped onto the boundary keeps a finite gradient.
+    """
+    sr, sq, left, right = forward
+    count, steps = sr.size, cotangent.size - 1
+    adj_l, adj_r = np.zeros_like(left), np.zeros_like(right)
+    adj_l[:, count:] = 2.0 * cotangent * left[:, count:]
+    adj_r[:, count:] = 2.0 * cotangent * right[:, count:]
+    end = count
+    for t in range(steps, 0, -1):
+        start = end - t
+        adj_l[:, start:end], adj_r[:, start:end] = _coin(
+            sr[start:end], sq[start:end], adj_l[:, end : end + t], adj_r[:, end + 1 : end + t + 1]
+        )
+        end = start
+    # the adjoint after the coin of entry k of step t sits at k + t (L), k + t + 1 (R)
+    after = np.arange(count) + np.repeat(np.arange(1, steps + 1), np.arange(1, steps + 1))
+    lam_l, lam_r = adj_l[:, after], adj_r[:, after + 1]
+    psi_l, psi_r = left[:, :count], right[:, :count]
+    d_sr = np.divide(0.5, sr, out=np.zeros_like(sr), where=sr > 0.0)
+    d_sq = np.divide(-0.5, sq, out=np.zeros_like(sq), where=sq > 0.0)
+    return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(0)
 
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:

@@ -583,6 +583,23 @@ def test_interrupt_is_one_error_line_and_leaves_no_temporary(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_write_into_a_missing_directory_names_the_given_path(
+    command, workspace, tmp_path, capsys
+):
+    target = tmp_path / "nodir" / "out.csv"
+    argv = {
+        "simulate": ["simulate", "--schedule", str(workspace["schedule"]), "--out", str(target)],
+        "train": ["train", "--steps", "2", "--target", "uniform",
+                  "--out", str(tmp_path / "s.sched"), "--log", str(target)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(str(target)) in err and ".tmp" not in err
+    assert _fresh(argv).stderr == err  # another process, so another process id
+
+
 #: Peak of the allocations that tracemalloc sees (numpy buffers included)
 #: allowed to one `sample` or `analyze` of 2*10^6 outcomes.  Holding them all
 #: takes ~80 MB; one chunk or block takes well under 1 MB.
@@ -663,6 +680,14 @@ def test_gaussian_without_a_finite_weight_is_one_error_line(mu, sigma, tmp_path,
         f"error: gaussian mu={float(mu)!r}, sigma={float(sigma)!r}"
         " gives no finite weight on a 4-step walk\n"
     )
+    assert not out.exists()
+
+
+def test_infinite_gaussian_sigma_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    argv = ["train", "--steps", "4", "--target", "gaussian:0,inf", "--out", str(out)]
+    assert main(argv + ["--log", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "error: sigma must be positive and finite, got inf\n"
     assert not out.exists()
 
 

@@ -109,6 +109,10 @@ CASES = {
         lambda: train(_origin(), Distribution(0, [1.0])),
         "training needs a target over at least one step",
     ),
+    "gaussian of an infinite sigma": (
+        lambda: gaussian_target(4, mu=0.0, sigma=float("inf")),
+        "sigma must be positive and finite, got inf",
+    ),
     "gaussian whose sigma squared underflows": (
         lambda: gaussian_target(4, mu=0.0, sigma=1e-200),
         "gaussian mu=0.0, sigma=1e-200 gives no finite weight on a 4-step walk",

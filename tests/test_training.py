@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,6 +272,14 @@ class TestMultiStart:
             for s in seeds
         ]
         assert a.final_fidelity == max(r.final_fidelity for r in singles)
+
+    def test_ties_go_to_the_earliest_sorted_seed(self, circ_left, uniform4, monkeypatch):
+        def equally_good(initial, target, config):
+            return SimpleNamespace(final_fidelity=0.5, seed=config.init_seed)
+
+        monkeypatch.setattr(qwrng.training, "train", equally_good)
+        best = train_multi_start(circ_left, uniform4, TrainConfig(), [7, 3, 9, 3, 5])
+        assert best.seed == 3
 
     def test_empty_seed_list_rejected(self, circ_left, uniform4):
         with pytest.raises(ValueError, match="seed"):
