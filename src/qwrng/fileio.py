@@ -12,11 +12,15 @@ refused: replacing it would break whatever reads it.
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, and rows are emitted in a fixed sort order, so writing the
-same object twice produces byte-identical files.
+same object twice produces byte-identical files.  A schedule file is written
+by filling one template per walk length, and text in exactly that layout is
+read without converting its keys; any other layout (rows in another order,
+CRLF, blank lines, ``−``) goes to the general reader, with its diagnostics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -144,15 +148,63 @@ def _place(
 # --- coin schedules -------------------------------------------------------
 
 _STEPS_RE = re.compile(r"^steps=(\d+)$")
+#: The header the writer writes; a walk of 10**9 steps has more rows than memory holds.
+_CANONICAL_HEADER_RE = re.compile(r"steps=(0|[1-9][0-9]{0,8})")
+#: Line breaks of ``str.splitlines`` besides ``\n`` that ASCII text can hold.
+_ASCII_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+@functools.lru_cache(maxsize=4)
+def _schedule_layout(steps: int) -> tuple[str, tuple[str, ...]]:
+    """The key text of a ``steps``-step schedule file: the writer's template,
+    which takes one ratio per row, and each row's ``t,m,`` prefix."""
+    prefixes = tuple(f"{t},{m}," for t, m in schedule_keys(steps))
+    return "".join([f"steps={steps}\n", *(p + "%.17g\n" for p in prefixes)]), prefixes
 
 
 def schedule_to_text(schedule: CoinSchedule) -> str:
-    rows = ((t, m, r) for (t, m), r in zip(schedule_keys(schedule.steps), schedule.values.tolist()))
-    return _table(f"steps={schedule.steps}", "{},{},{:.17g}", rows)
+    template, _ = _schedule_layout(schedule.steps)
+    return template % tuple(schedule.values.tolist())
+
+
+def _canonical_ratios(steps: int, body: str) -> list[float] | None:
+    """The ratios of ``body``, the rows after the header, when they are laid
+    out exactly as :func:`schedule_to_text` writes them: every row in key
+    order, each ending in ``\n``.  Else None, and nothing of the key text is
+    built unless ``body`` has as many rows as a ``steps``-step walk.
+
+    ASCII without other line breaks splits on ``\n`` into the lines that
+    :func:`_columns` sees, so both readers accept such text alike."""
+    if not body.isascii() or any(map(body.__contains__, _ASCII_BREAKS)):
+        return None
+    rows = body.split("\n")
+    if len(rows) != steps * (steps + 1) // 2 + 1 or rows.pop():
+        return None
+    _, prefixes = _schedule_layout(steps)
+    if not all(map(str.startswith, rows, prefixes)):
+        return None
+    try:  # a comma left in a ratio's text is an extra column: float rejects it
+        return list(map(float, map(str.removeprefix, rows, prefixes)))
+    except ValueError:
+        return None
 
 
 def schedule_from_text(text: str) -> CoinSchedule:
-    """Parse a schedule file; its ``step,position,r`` rows may come in any order."""
+    """Parse a schedule file; its ``step,position,r`` rows may come in any order.
+
+    The text :func:`schedule_to_text` writes is read without a per-cell
+    conversion of its keys; any other text goes to the general reader, which
+    gives it the same result or the same error."""
+    header, _, body = text.partition("\n")
+    if match := _CANONICAL_HEADER_RE.fullmatch(header):
+        steps = int(match[1])
+        if (ratios := _canonical_ratios(steps, body)) is not None:
+            return CoinSchedule(steps, ratios)
+    return _schedule_from_rows(text)
+
+
+def _schedule_from_rows(text: str) -> CoinSchedule:
+    """The general reader: rows in any order, blank lines, any line ends."""
     header = next(filter(str.strip, text.splitlines()), "").strip()
     if not header:
         raise ValueError("empty schedule file")

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qwrng.fileio import (
     write_schedule,
 )
 from qwrng.sampling import ChunkedStream
+from qwrng.walk import schedule_keys
 
 from util import random_schedule
 
@@ -41,6 +43,34 @@ class TestScheduleFiles:
         assert text.splitlines()[0] == "steps=2"
         assert text.splitlines()[1] == "1,0,0.5"
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 4, 8, 64, 256])
+    def test_text_equals_the_row_format_reference(self, steps):
+        edges = [0.0, -0.0, 1.0, 5e-324, 1e-300, float(np.nextafter(1.0, 0.0))]
+        pool = edges + np.random.default_rng(steps).uniform(0.0, 1.0, 6).tolist()
+        for lead in range(len(edges)):  # each edge ratio comes first once, so n = 1 sees them all
+            sched = CoinSchedule(steps, np.resize(np.roll(pool, -lead), steps * (steps + 1) // 2))
+            rows = zip(schedule_keys(steps), sched.values.tolist())
+            reference = "\n".join(
+                [f"steps={steps}", *("{},{},{:.17g}".format(t, m, r) for (t, m), r in rows)]
+            ) + "\n"
+            assert schedule_to_text(sched) == reference
+
+    @pytest.mark.parametrize("steps", [999_999_999, 3_037_000_499])
+    def test_forged_walk_length_fails_before_its_keys_are_built(self, steps):
+        text = f"steps={steps}\n1,0,0.5\n2,-1,0.5\n2,1,0.5\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                schedule_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"schedule key set does not match a {steps}-step walk"
+            f" (3 rows for {steps * (steps + 1) // 2} entries)"
+        )
+        assert peak < 2**20
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)

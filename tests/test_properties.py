@@ -3,8 +3,9 @@ oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
 up to the oracle's size cap, and the adjoint gradient), and the file formats
 (byte-exact round trips, every bit width, streamed sample files against
 one-piece ones across chunk edges, line-numbered diagnostics, the
-array-speed index codec against the plain line-by-line one, and the two
-ways a mutated bit file may fail)."""
+array-speed index codec against the plain line-by-line one, the schedule
+reader against its general path on mutated files, and the two ways a
+mutated bit file may fail)."""
 
 import math
 
@@ -27,6 +28,7 @@ from qwrng import (
 from qwrng.fileio import (
     _columns,
     _digit_lines,
+    _schedule_from_rows,
     distribution_to_text,
     read_bits,
     read_distribution,
@@ -184,6 +186,59 @@ def test_schedule_reader_rejects_a_wrong_key_set(data, steps, kind):
     wording = "duplicate" if kind == "duplicated" else "key set"
     with pytest.raises(ValueError, match=wording):
         schedule_from_text("\n".join([header, *bad]))
+
+
+#: Text a mutation splices into a schedule file: every line break of
+#: ``str.splitlines``, the typographic minus, a BOM, what ``int`` and ``float``
+#: accept or strip, the words ``float`` reads, and an extra comma.
+SCHEDULE_SPLICES = st.sampled_from([
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\u2212", "\ufeff", "_", "+", "-", " ", "\t", "0", "nan", "inf", ",",
+])
+
+
+@st.composite
+def mutated_schedule_texts(draw):
+    """A schedule file as the writer writes it, at 0 to 6 steps, then
+    mutated up to three times: a splice into a line, two lines swapped, a line
+    duplicated, a blank line added or the final newline dropped."""
+    steps = draw(st.integers(0, 6))
+    size = steps * (steps + 1) // 2
+    ratios = st.sampled_from([0.0, -0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0)
+    sched = CoinSchedule(steps, draw(st.lists(ratios, min_size=size, max_size=size)))
+    lines = schedule_to_text(sched).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["splice", "swap", "duplicate", "blank", "unterminate"]))
+        k, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if kind == "splice":
+            at, cut = draw(st.integers(0, len(lines[k]))), draw(st.integers(0, 1))
+            lines[k] = lines[k][:at] + draw(SCHEDULE_SPLICES) + lines[k][at + cut:]
+        elif kind == "swap":
+            lines[k], lines[j] = lines[j], lines[k]
+        elif kind in ("duplicate", "blank"):
+            lines.insert(j, lines[k] if kind == "duplicate" else draw(st.sampled_from(["", " "])))
+        elif lines[-1] == "":
+            lines.pop()
+    return "\n".join(lines)
+
+
+def _schedule_or_error(reader, text):
+    try:
+        sched = reader(text)
+    except ValueError as exc:
+        return str(exc)
+    return sched.steps, sched.values.tobytes()
+
+
+@settings(PROPERTY, max_examples=400)
+@given(mutated_schedule_texts())
+@example("steps=1\n1,0,\u20280.5\n")  # float strips U+2028, but splitlines breaks the row there
+@example("steps=2\n1,0,0.5\n2,-1,0.5\n")  # one row short
+@example("steps=2\n1,0,0.5\n2,-1,0.5\n2,1,0.5\n2,1,0.5\n")  # one row over
+def test_schedule_reader_matches_the_general_reader(text):
+    assert _schedule_or_error(schedule_from_text, text) == _schedule_or_error(
+        _schedule_from_rows, text
+    )
 
 
 @PROPERTY
