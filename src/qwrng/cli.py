@@ -95,8 +95,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     state = initial_state(NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE])
     report = train(state, target, config)
-    fileio.write_schedule(report.final_schedule, args.out)
-    fileio.write_trace(report.iterations, args.log)
+    with fileio.all_or_none():
+        fileio.write_schedule(report.final_schedule, args.out)
+        fileio.write_trace(report.iterations, args.log)
     return 0 if report.converged else 2
 
 

@@ -1,5 +1,7 @@
 """Text formats for schedules, distributions, traces, reports and sample
 streams; this module alone reads them and writes them, each file atomically.
+The writes inside :func:`all_or_none` form one set: none of its targets is
+replaced until all of its files are written.
 
 Sample streams move in chunks both ways, so memory does not grow with their
 length: the writers encode and write a :class:`sampling.ChunkedStream` as it
@@ -20,6 +22,8 @@ CRLF, blank lines, ``−``) goes to the general reader, with its diagnostics.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import os
@@ -45,28 +49,73 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: The temporary files filled in the current :func:`all_or_none` block, with their targets.
+_staged: contextvars.ContextVar[list[tuple[str, str | Path]] | None] = contextvars.ContextVar(
+    "_staged", default=None
+)
+
+
 def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> None:
     """Replace ``path`` with ``data``, a text or byte chunks written in order,
     through a temporary file beside it, so a failed write (also one that fails
     while the chunks are produced) leaves the old file intact.  The temporary
     file is created with a plain ``open``, so its mode follows the umask like
     any new file.  A write promised to take ``at_least`` bytes fails before
-    its first chunk when the directory has less space free."""
+    its first chunk when the directory has less space free.  Inside
+    :func:`all_or_none` the replace waits for the end of the block."""
     _check_regular(path)
     if at_least:
         free = shutil.disk_usage(Path(path).parent).free
         if at_least > free:
             raise OSError(f"{path} needs at least {at_least} bytes, but only {free} are free")
     tmp = f"{path}.{os.getpid()}.tmp"
+    with _removed_on_error(tmp, path), open(tmp, "wb") as fh:
+        fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
+    staged = _staged.get()
+    if staged is None:
+        _replace(tmp, path)
+    elif (tmp, path) not in staged:  # a second write of one target refills its file
+        staged.append((tmp, path))
+
+
+@contextlib.contextmanager
+def _removed_on_error(tmp: str, path: str | Path) -> Iterator[None]:
+    """Remove ``tmp`` when the block fails; an error naming ``tmp``, whose name
+    changes per process, names ``path`` instead."""
     try:
-        with open(tmp, "wb") as fh:
-            fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
-        os.replace(tmp, path)
+        yield
     except BaseException as exc:
         Path(tmp).unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == tmp:  # its name changes per process
+        if isinstance(exc, OSError) and exc.filename == tmp:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def _replace(tmp: str, path: str | Path) -> None:
+    with _removed_on_error(tmp, path):
+        os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def all_or_none() -> Iterator[None]:
+    """Write a command's artifacts as one set.  Each write in the block fills
+    its temporary file; the targets are replaced after the block, in the order
+    they were written.  A failure before the first replace removes every
+    temporary file and leaves every target as it was.  Each replace is atomic
+    on its own, so one that fails after another has happened (a rename in the
+    same directory, so rarely) leaves the earlier targets new."""
+    staged: list[tuple[str, str | Path]] = []
+    token = _staged.set(staged)
+    try:
+        yield
+        for tmp, path in staged:
+            _replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            Path(tmp).unlink(missing_ok=True)
+        raise
+    finally:
+        _staged.reset(token)
 
 
 def _check_regular(path: str | Path) -> None:
@@ -398,8 +447,9 @@ def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """Packed bit file plus a one-line sidecar header at ``<path>.meta``.
 
     The sidecar records the draw count, the per-outcome field width and how
-    many zero bits pad the final byte; it is checked before the payload and
-    replaced after it.  Every chunk but the last holds a multiple of 8
+    many zero bits pad the final byte; it is checked before the payload, and
+    both files are written before the payload and then the sidecar replace
+    their targets.  Every chunk but the last holds a multiple of 8
     outcomes, so each packs into whole bytes and the file equals one packing
     of the whole stream.  A single-outcome stream takes no bits: its payload
     is empty and it is not drawn.
@@ -412,8 +462,9 @@ def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
         return sampling.pack_bits(sampling.encode_bits(outcomes, n))[0]
 
     n_bits = stream.count * width
-    _write(path, map(encode, stream.chunks()) if width else [], at_least=-(-n_bits // 8))
-    _write(meta, f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
+    with all_or_none():
+        _write(path, map(encode, stream.chunks()) if width else [], at_least=-(-n_bits // 8))
+        _write(meta, f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
 
 
 def read_bits(path: str | Path) -> np.ndarray:

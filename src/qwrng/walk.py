@@ -15,18 +15,24 @@ independently).  The coin layer is four vectorized multiply-adds with
 ``sqrt(r)`` and ``sqrt(1 - r)``; the shift appends a zero slot to L and
 prepends one to R.  Schedules and distributions are flat float64 arrays.
 
-The forward pass also walks a stack of schedules at once: ratio arrays of
-shape ``(..., count)`` give slot buffers of shape ``(2, ..., slots)``, and
-every row evolves exactly as it would alone.  Its transpose, the adjoint
-sweep :func:`_gradient`, returns ``J^T v`` for a cotangent ``v`` over the
-output probabilities of one pass.
+The forward pass keeps every state of a walk in two slot-major buffers, L
+and R, of shape ``(slots, ..., 2)``: one leading-axis row per slot, the
+batch axes and the real/imaginary pair inside it.  The state before step
+``t`` is then one contiguous block of rows, and so are its coin factors,
+built once per pass at shape ``(count, ..., 2)``.  Each step's ufuncs take
+operands of one shape, which skip numpy's broadcasting machinery, and the
+shift is only where their results land.  A stack of schedules (ratio
+arrays of shape ``(..., count)``) is walked at once, and every row evolves
+exactly as it would alone.  The transpose of a pass, the adjoint sweep
+:func:`_gradient`, returns ``J^T v`` for a cotangent ``v`` over the output
+probabilities of one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -186,7 +192,8 @@ class CoinSchedule:
 
 class WalkState:
     """Walker state after ``step`` steps: the slot arrays ``left`` and ``right``,
-    each ``(2, step + 1)`` (real and imaginary rows, one column per site).
+    each ``(2, step + 1)`` (real and imaginary rows, one column per site;
+    after :func:`run_walk`, transposed views of the walk's slot-major rows).
 
     ``amplitudes`` maps occupied positions to complex ``(c_L, c_R)`` pairs
     (a read-only view).
@@ -206,7 +213,7 @@ class WalkState:
         return list(self.amplitudes)
 
     def norm(self) -> float:
-        return math.sqrt(float(_probs(self.left, self.right).sum()))
+        return math.sqrt(float(_probs(self.left.T, self.right.T).sum()))
 
 
 def initial_state(coin_vector: Iterable[complex]) -> WalkState:
@@ -228,14 +235,9 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
     return WalkState(0, (parts[:, :1], parts[:, 1:]))
 
 
-def _coin(sr: np.ndarray, sq: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """The biased coin ``[[sr, sq], [sq, -sr]]`` (its own transpose), slot by slot."""
-    return sr * left + sq * right, sq * left - sr * right
-
-
 def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-slot probability |c_L|^2 + |c_R|^2."""
-    return (left * left).sum(0) + (right * right).sum(0)
+    """Per-slot probability |c_L|^2 + |c_R|^2 of slot-major rows ``(..., 2)``."""
+    return (left * left).sum(-1) + (right * right).sum(-1)
 
 
 def _forward(values: np.ndarray, steps: int, initial: WalkState):
@@ -243,62 +245,82 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
     and the output probabilities.
 
     ``values`` has shape ``(..., count)``: leading axes are batch axes, one
-    walk per flat ratio array, each bit-identical to its walk alone.  The L
-    and R buffers have shape ``(2, ..., slots)``; in them the state before
-    step ``t`` sits at that step's ratio offset, the final state at offset
-    ``count``.  The probabilities have shape ``(..., steps + 1)``.
+    walk per flat ratio array, each bit-identical to its walk alone.  The
+    buffers are slot-major: L and R have shape ``(slots, ..., 2)``, and the
+    coin factors ``(count, ..., 2)``, each row repeated for the real and
+    imaginary parts.  The state before step ``t`` fills the rows from that
+    step's ratio offset, the final state those from ``count``, so step ``t``
+    reads ``t`` rows and writes them ``t`` rows further on, R one row
+    further still.  The probabilities have shape ``(..., steps + 1)``.
     """
     if initial.step != 0 or initial.positions() != [0]:
         raise ValueError("the walk requires a step-0 state located at the origin")
-    sr, sq = np.sqrt(values), np.sqrt(1.0 - values)
-    shape = (2, *values.shape[:-1], _triangle(steps + 1))
+    rows = np.moveaxis(values, -1, 0)[..., None]
+    a = np.repeat(np.sqrt(rows), 2, axis=-1)
+    b = np.repeat(np.sqrt(1.0 - rows), 2, axis=-1)
+    shape = (_triangle(steps + 1), *values.shape[:-1], 2)
     left, right = np.zeros(shape), np.zeros(shape)
-    origin = (2,) + (1,) * values.ndim
-    left[..., :1], right[..., :1] = initial.left.reshape(origin), initial.right.reshape(origin)
+    left[0], right[0] = initial.left[:, 0], initial.right[:, 0]
     start = 0
     for t in range(1, steps + 1):
         end = start + t
+        sr, sq, l, r = a[start:end], b[start:end], left[start:end], right[start:end]
         # the coin's L output keeps its slot index, its R output moves up one
-        left[..., end : end + t], right[..., end + 1 : end + t + 1] = _coin(
-            sr[..., start:end], sq[..., start:end], left[..., start:end], right[..., start:end]
-        )
+        np.add(sr * l, sq * r, out=left[end : end + t])
+        np.subtract(sq * l, sr * r, out=right[end + 1 : end + t + 1])
         start = end
-    return (sr, sq, left, right), _probs(left[..., start:], right[..., start:])
+    return (a, b, left, right), np.moveaxis(_probs(left[start:], right[start:]), 0, -1)
+
+
+@lru_cache(maxsize=8)
+def _after_coin(steps: int) -> np.ndarray:
+    """Row ``k + t`` for entry ``k`` of step ``t``: where L holds the state
+    right after that entry's coin (R holds it one row further)."""
+    steps_of = np.repeat(np.arange(1, steps + 1), np.arange(1, steps + 1))
+    rows = np.arange(_triangle(steps)) + steps_of
+    rows.flags.writeable = False
+    return rows
 
 
 def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
     """Adjoint sweep over one unbatched forward pass: ``J^T v`` in schedule
-    order, ``v`` being a ``cotangent`` over the output probabilities.  Each
-    step back undoes the shift and applies the (symmetric) coin.  At r = 0 (1)
-    the unbounded slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio
-    clamped onto the boundary keeps a finite gradient.
+    order, ``v`` being a ``cotangent`` over the output probabilities.
+
+    It runs the pass's steps backwards over slot-major adjoint buffers of the
+    pass's shape ``(slots, 2)``: each step back reads the rows the forward
+    step wrote and applies the (symmetric) coin, as the forward step does.
+    The rows after every coin are then gathered once and the real and
+    imaginary parts summed over the last axis.  At r = 0 (1) the unbounded
+    slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio clamped onto
+    the boundary keeps a finite gradient.
     """
-    sr, sq, left, right = forward
-    count, steps = sr.size, cotangent.size - 1
+    a, b, left, right = forward
+    count, steps = len(a), cotangent.size - 1
     adj_l, adj_r = np.zeros_like(left), np.zeros_like(right)
-    adj_l[:, count:] = 2.0 * cotangent * left[:, count:]
-    adj_r[:, count:] = 2.0 * cotangent * right[:, count:]
+    adj_l[count:] = 2.0 * cotangent[:, None] * left[count:]
+    adj_r[count:] = 2.0 * cotangent[:, None] * right[count:]
     end = count
     for t in range(steps, 0, -1):
         start = end - t
-        adj_l[:, start:end], adj_r[:, start:end] = _coin(
-            sr[start:end], sq[start:end], adj_l[:, end : end + t], adj_r[:, end + 1 : end + t + 1]
-        )
+        sr, sq = a[start:end], b[start:end]
+        l, r = adj_l[end : end + t], adj_r[end + 1 : end + t + 1]
+        np.add(sr * l, sq * r, out=adj_l[start:end])
+        np.subtract(sq * l, sr * r, out=adj_r[start:end])
         end = start
-    # the adjoint after the coin of entry k of step t sits at k + t (L), k + t + 1 (R)
-    after = np.arange(count) + np.repeat(np.arange(1, steps + 1), np.arange(1, steps + 1))
-    lam_l, lam_r = adj_l[:, after], adj_r[:, after + 1]
-    psi_l, psi_r = left[:, :count], right[:, :count]
-    d_sr = np.divide(0.5, sr, out=np.zeros_like(sr), where=sr > 0.0)
-    d_sq = np.divide(-0.5, sq, out=np.zeros_like(sq), where=sq > 0.0)
-    return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(0)
+    after = _after_coin(steps)
+    lam_l, lam_r = adj_l[after], adj_r[1:][after]
+    psi_l, psi_r = left[:count], right[:count]
+    sr, sq = a[:, 0], b[:, 0]
+    d_sr = np.divide(0.5, sr, out=np.zeros(count), where=sr > 0.0)[:, None]
+    d_sq = np.divide(-0.5, sq, out=np.zeros(count), where=sq > 0.0)[:, None]
+    return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(-1)
 
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:
     """Evolve an origin-start state through every step of a schedule."""
     (_, _, left, right), _ = _forward(schedule.values, schedule.steps, initial)
     final = schedule.values.size
-    return WalkState(schedule.steps, (left[:, final:], right[:, final:]))
+    return WalkState(schedule.steps, (left[final:].T, right[final:].T))
 
 
 class Distribution:
@@ -335,4 +357,4 @@ class Distribution:
 
 def measure(state: WalkState) -> Distribution:
     """Collapse a state to outcome probabilities |c_L|^2 + |c_R|^2 per site."""
-    return Distribution(state.step, _probs(state.left, state.right))
+    return Distribution(state.step, _probs(state.left.T, state.right.T))

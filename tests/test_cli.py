@@ -600,6 +600,19 @@ def test_write_into_a_missing_directory_names_the_given_path(
     assert _fresh(argv).stderr == err  # another process, so another process id
 
 
+def test_failed_trace_write_leaves_the_schedule_as_it_was(tmp_path, capsys):
+    sched, log = tmp_path / "s.sched", tmp_path / "nodir" / "t.csv"
+    argv = ["train", "--steps", "2", "--target", "uniform", "--out", str(sched), "--log", str(log)]
+    for before in [{}, {"s.sched": b"steps=1\n1,0,0.5\n"}]:
+        if before:
+            sched.write_bytes(before["s.sched"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(str(log)) in err
+        # no schedule, or the old one, and no temporary file
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 #: Peak of the allocations that tracemalloc sees (numpy buffers included)
 #: allowed to one `sample` or `analyze` of 2*10^6 outcomes.  Holding them all
 #: takes ~80 MB; one chunk or block takes well under 1 MB.

@@ -1,10 +1,11 @@
+import errno
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qwrng import CoinSchedule, Distribution, build_sampler, draw, uniform_target
+from qwrng import CoinSchedule, Distribution, build_sampler, draw, fileio, uniform_target
 from qwrng.fileio import (
     distribution_to_text,
     format_float,
@@ -188,6 +189,26 @@ class TestSampleFiles:
         write_bits(_stream(4, 10)[0], tmp_path / "s.bits")
         assert replaced == ["s.bits", "s.bits.meta"]
 
+    def test_failed_sidecar_write_leaves_payload_and_sidecar_as_they_were(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "s.bits"
+        write_bits(_stream(4, 100)[0], path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_open = open
+
+        def full_after_the_payload(name, *args, **kwargs):
+            if ".meta." in os.path.basename(name):
+                raise OSError(errno.ENOSPC, "No space left on device", name)
+            return real_open(name, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", full_after_the_payload, raising=False)
+        with pytest.raises(OSError, match="No space left") as failure:
+            write_bits(_stream(5, 200)[0], path)
+        assert failure.value.filename == f"{path}.meta"
+        # the new payload was written in full, but nothing replaced its target
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_bits_sidecar_mismatch_rejected(self, tmp_path):
         path = tmp_path / "samples.bits"
         write_bits(_stream(4, 100)[0], path)
@@ -224,6 +245,34 @@ class TestSampleFiles:
         path.write_bytes(b"\0")
         with pytest.raises(ValueError, match="^sidecar promises 10 outcomes"):
             read_bits(path)
+
+
+class TestArtifactSets:
+    def test_targets_are_replaced_after_the_block_in_write_order(self, tmp_path, monkeypatch):
+        replaced, real_replace = [], os.replace
+
+        def record(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        with fileio.all_or_none():
+            write_schedule(CoinSchedule.constant(1), b)
+            fileio.write_trace([(0, 0.5, 0.5)], a)
+            write_schedule(CoinSchedule.constant(2), b)  # a rewrite of one target wins
+            assert replaced == [] and not a.exists() and not b.exists()
+        assert replaced == ["b.csv", "a.csv"]
+        assert b.read_text() == schedule_to_text(CoinSchedule.constant(2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+    def test_an_error_in_the_block_removes_every_temporary_file(self, tmp_path):
+        (tmp_path / "a.csv").write_text("old\n")
+        with pytest.raises(KeyboardInterrupt), fileio.all_or_none():
+            fileio.write_trace([(0, 0.5, 0.5)], tmp_path / "a.csv")
+            fileio.write_trace([(0, 0.5, 0.5)], tmp_path / "b.csv")
+            raise KeyboardInterrupt
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "old\n"}
 
 
 class TestReports:

@@ -1,8 +1,10 @@
 """Pinned sha256 digests of every artifact format and of a fixed CLI chain.
 
-The text digests guard the writers' exact bytes.  The CLI digests also pin
-the trained schedule and the seeded PCG64 sample stream, whose guide-table
-inverse-CDF lookup returns exactly ``searchsorted(cdf, u, side="right")``;
+The text digests guard the writers' exact bytes.  The kernel digests pin the
+walk's own float bytes past the dense oracle's size cap: forward
+probabilities, adjoint gradients and a batched robustness curve.  The CLI
+digests also pin the trained schedule and the seeded PCG64 sample stream,
+whose guide-table inverse-CDF lookup returns exactly ``searchsorted(cdf, u, side="right")``;
 NumPy does not promise to keep the PCG64 stream across versions, so a failure
 after a library upgrade means the same seed no longer gives the same random
 numbers.  The values were computed once and are never edited to make a
@@ -11,9 +13,18 @@ change pass.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from qwrng import CoinSchedule, Distribution
+from qwrng import (
+    NAMED_COIN_VECTORS,
+    CoinSchedule,
+    Distribution,
+    initial_state,
+    loss_gradient,
+    robustness_sweep,
+    uniform_target,
+)
 from qwrng.cli import main
 from qwrng.fileio import (
     distribution_to_text,
@@ -22,6 +33,7 @@ from qwrng.fileio import (
     trace_to_text,
     write_schedule,
 )
+from qwrng.walk import _forward
 
 
 def _sha(data: str | bytes) -> str:
@@ -30,11 +42,12 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _schedule() -> CoinSchedule:
+def _schedule(steps: int = 6) -> CoinSchedule:
     # golden-ratio offsets plus the exact edges 0 and 1, no RNG involved
-    values = [((k + 1) * 0.6180339887498949) % 1.0 for k in range(21)]
-    values[3], values[17] = 0.0, 1.0
-    return CoinSchedule(6, values)
+    size = steps * (steps + 1) // 2
+    values = [((k + 1) * 0.6180339887498949) % 1.0 for k in range(size)]
+    values[3], values[size - 4] = 0.0, 1.0
+    return CoinSchedule(steps, values)
 
 
 def _distribution() -> Distribution:
@@ -61,6 +74,36 @@ TEXT_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
 def test_text_format_digest(name):
     assert _sha(TEXTS[name]()) == TEXT_DIGESTS[name]
+
+
+CIRC_LEFT = initial_state(NAMED_COIN_VECTORS["circ-left"])
+
+KERNELS = {
+    "forward.n16": lambda: _forward(_schedule(16).values, 16, CIRC_LEFT)[1],
+    "forward.n64": lambda: _forward(_schedule(64).values, 64, CIRC_LEFT)[1],
+    "forward.n256": lambda: _forward(_schedule(256).values, 256, CIRC_LEFT)[1],
+    "gradient.n64": lambda: loss_gradient(_schedule(64), CIRC_LEFT, uniform_target(64)),
+    "gradient.n256": lambda: loss_gradient(_schedule(256), CIRC_LEFT, uniform_target(256)),
+    # five trials per magnitude, walked as one batch
+    "robustness.n16": lambda: np.array(
+        robustness_sweep(_schedule(16), CIRC_LEFT, uniform_target(16), [0.0, 0.01, 0.05], 5, 3)
+        .points
+    ),
+}
+
+KERNEL_DIGESTS = {
+    "forward.n16": "6b0550df8643461e5b797ebaf85608cd986ca1f96bdb2475f4968d4ceb4f1eec",
+    "forward.n64": "e804cf96215a8e7146719ae99ab696d6d5ffe6fe9ddf10d2bab9988eb0e783b3",
+    "forward.n256": "78da6f13cb6bc5b9da402c4ad974593e55374a98933a5442bdf91930cc421bf9",
+    "gradient.n64": "3253078cd1c7e4bdc52d578353ff95acd781cdb11f292dd59f4841c5105f4c07",
+    "gradient.n256": "305c7444b9923fe91ece84b3bd3c33c87afb9c83df8daf6507948ea9f45541bb",
+    "robustness.n16": "16729e96ada0695dfdaefd239d46b0709a4292b1c3f2d9e56ec17d20d5238f9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))
+def test_kernel_output_digest(name):
+    assert _sha(np.ascontiguousarray(KERNELS[name]()).tobytes()) == KERNEL_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """The package surface: ``qwrng.__all__`` lists exactly the public names it
-binds, the names the benchmark's tracer and workloads call still exist, and
-only ``analyze`` imports scipy."""
+binds, the names the benchmark's tracer and workloads call still exist, only
+``analyze`` imports scipy, and only ``walk`` looks inside a forward pass."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -115,3 +116,33 @@ def test_only_analyze_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = (tmp_path / "a.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == CLI_DIGESTS["analyze"]
+
+
+def _callee(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def test_only_walk_unpacks_a_forward_pass():
+    # the slot buffers' layout is walk.py's alone: other modules take the
+    # probabilities and hand the rest, whole, to _gradient
+    for path in sorted(Path(qwrng.__file__).parent.glob("*.py")):
+        if path.name == "walk.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        calls = {id(n) for n in nodes if _callee(n) == "_forward"}
+        handed = {id(n.args[0]) for n in nodes if _callee(n) == "_gradient" and n.args}
+        kept = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign) and id(node.value) in calls:
+                calls.discard(id(node.value))
+                names = [getattr(e, "id", None) for e in getattr(node.targets[0], "elts", [])]
+                assert len(node.targets) == 1 and len(names) == 2, f"{path.name}:{node.lineno}"
+                assert None not in names, f"{path.name}:{node.lineno}: a forward pass unpacked"
+                kept.add(names[0])
+        assert not calls, f"{path.name}: a _forward result used in place"
+        for node in nodes:
+            loaded = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            if loaded and node.id in kept - {"_"}:
+                assert id(node) in handed, f"{path.name}:{node.lineno}: {node.id} looked into"

@@ -1,6 +1,7 @@
 """Generated-input properties: the array walk core against the brute-force
 oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
-up to the oracle's size cap, and the adjoint gradient), and the file formats
+up to the oracle's size cap, batched rows past that cap against their own
+walks, and the adjoint gradient), and the file formats
 (byte-exact round trips, every bit width, streamed sample files against
 one-piece ones across chunk edges, line-numbered diagnostics, the
 array-speed index codec against the plain line-by-line one, the schedule
@@ -103,6 +104,24 @@ def test_batched_walk_rows_equal_their_walks_alone(data, steps, rows, v):
     # a second leading axis walks the same rows
     _, grid = _forward(values.reshape(1, rows, size), steps, initial)
     assert grid.tobytes() == probs.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([16, 64]), st.integers(1, 4), st.integers(0, 2**32 - 1), coin_vectors())
+def test_batched_walk_rows_equal_their_walks_alone_past_the_oracle_cap(steps, rows, seed, v):
+    # no oracle runs this long; each row is held to its own walk, byte for byte
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (rows, steps * (steps + 1) // 2))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = 1.0
+    initial = initial_state(v)
+    (_, _, left, right), probs = _forward(values, steps, initial)
+    assert probs.shape == (rows, steps + 1)
+    for b, row in enumerate(values):
+        (_, _, row_left, row_right), row_probs = _forward(row, steps, initial)
+        assert probs[b].tobytes() == row_probs.tobytes()
+        assert left[:, b].tobytes() == row_left.tobytes()
+        assert right[:, b].tobytes() == row_right.tobytes()
 
 
 @PROPERTY
