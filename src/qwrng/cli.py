@@ -65,18 +65,24 @@ def _parse_coin_vector(text: str) -> tuple[complex, complex]:
     raise ValueError(f"unknown initial state {text!r} (use {names} or custom:...)")
 
 
-def _parse_init(text: str) -> dict[str, float | int]:
-    """Decode const:R0 / rand:SEED into the matching :class:`TrainConfig` field."""
+def _parse_init(text: str, steps: int) -> CoinSchedule:
+    """The ``steps``-step schedule that training starts from: const:R0 or rand:SEED."""
     if text.startswith("const:"):
         try:
-            return {"init_ratio": float(text[len("const:"):])}
+            ratio = float(text[len("const:"):])
         except ValueError:
             raise ValueError(f"expected const:<ratio>, got {text!r}") from None
+        if not (0.0 <= ratio <= 1.0):
+            raise ValueError(f"init ratio must lie in [0, 1], got {ratio}")
+        return CoinSchedule.constant(steps, ratio)
     if text.startswith("rand:"):
         try:
-            return {"init_seed": int(text[len("rand:"):])}
+            seed = int(text[len("rand:"):])
         except ValueError:
             raise ValueError(f"expected rand:<seed>, got {text!r}") from None
+        if seed < 0:
+            raise ValueError(f"init seed must be non-negative, got {seed}")
+        return CoinSchedule.random(steps, seed)
     raise ValueError(f"unknown init spec {text!r} (use const:R0 or rand:SEED)")
 
 
@@ -87,14 +93,10 @@ def _output(schedule: CoinSchedule, coin_vector: tuple[complex, complex]) -> Dis
 
 def cmd_train(args: argparse.Namespace) -> int:
     target = target_from_spec(args.target, args.steps)
-    config = TrainConfig(
-        eta=args.eta,
-        max_iters=args.max_iters,
-        fidelity_goal=args.fidelity_goal,
-        **_parse_init(args.init),
-    )
+    start = _parse_init(args.init, target.steps)
+    config = TrainConfig(eta=args.eta, max_iters=args.max_iters, fidelity_goal=args.fidelity_goal)
     state = initial_state(NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE])
-    report = train(state, target, config)
+    report = train(state, target, config, start)
     with fileio.all_or_none():
         fileio.write_schedule(report.final_schedule, args.out)
         fileio.write_trace(report.iterations, args.log)
@@ -182,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--fidelity-goal", type=float, default=TrainConfig.fidelity_goal)
     p_train.add_argument(
         "--init",
-        default=f"const:{TrainConfig.init_ratio}",
-        help="const:R0 | rand:SEED (schedule initialization)",
+        default="const:0.5",
+        help="const:R0 | rand:SEED (the schedule training starts from)",
     )
     p_train.add_argument("--out", required=True, help="schedule file to write")
     p_train.add_argument("--log", required=True, help="per-iteration trace CSV to write")

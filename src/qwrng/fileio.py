@@ -62,7 +62,12 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     file is created with a plain ``open``, so its mode follows the umask like
     any new file.  A write promised to take ``at_least`` bytes fails before
     its first chunk when the directory has less space free.  Inside
-    :func:`all_or_none` the replace waits for the end of the block."""
+    :func:`all_or_none` the replace waits for the end of the block, and a
+    target that the block has already written is refused."""
+    staged = _staged.get()
+    for _, done in staged or ():
+        if os.path.realpath(done) == os.path.realpath(path):
+            raise ValueError(f"{done} and {path} name the same file")
     _check_regular(path)
     if at_least:
         free = shutil.disk_usage(Path(path).parent).free
@@ -71,10 +76,9 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     tmp = f"{path}.{os.getpid()}.tmp"
     with _removed_on_error(tmp, path), open(tmp, "wb") as fh:
         fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
-    staged = _staged.get()
     if staged is None:
         _replace(tmp, path)
-    elif (tmp, path) not in staged:  # a second write of one target refills its file
+    else:
         staged.append((tmp, path))
 
 
@@ -100,7 +104,8 @@ def _replace(tmp: str, path: str | Path) -> None:
 def all_or_none() -> Iterator[None]:
     """Write a command's artifacts as one set.  Each write in the block fills
     its temporary file; the targets are replaced after the block, in the order
-    they were written.  A failure before the first replace removes every
+    they were written.  Two writes of one file are refused before the second
+    fills anything.  A failure before the first replace removes every
     temporary file and leaves every target as it was.  Each replace is atomic
     on its own, so one that fails after another has happened (a rename in the
     same directory, so rarely) leaves the earlier targets new."""

@@ -71,11 +71,6 @@ class SampleStream:
     def count(self) -> int:
         return int(self.outcomes.size)
 
-    def positions(self) -> np.ndarray:
-        """Translate outcome indices to lattice positions of the
-        ``n_outcomes - 1``-step walk they were drawn from."""
-        return 2 * self.outcomes - (self.n_outcomes - 1)
-
 
 @dataclass
 class ChunkedStream:

@@ -11,7 +11,7 @@ update, clipped to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -71,19 +71,14 @@ def apply_update(schedule: CoinSchedule, grad: np.ndarray, eta: float) -> CoinSc
 class TrainConfig:
     """Hyperparameters of a training run.
 
-    The schedule starts from a constant grid at ``init_ratio`` unless
-    ``init_seed`` is set, in which case every entry is drawn uniformly from
-    [0, 1) with that seed.  Training stops as soon as the fidelity reaches
-    ``fidelity_goal`` or the loss falls to ``loss_tol``, and gives up after
-    ``max_iters`` updates.
+    Training stops as soon as the fidelity reaches ``fidelity_goal`` or the
+    loss falls to ``loss_tol``, and gives up after ``max_iters`` updates.
     """
 
     eta: float = 0.1
     max_iters: int = 500
     fidelity_goal: float = 0.999
     loss_tol: float = 1e-8
-    init_ratio: float = 0.5
-    init_seed: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eta <= 1.0):
@@ -94,10 +89,6 @@ class TrainConfig:
             raise ValueError(f"fidelity goal must lie in (0, 1], got {self.fidelity_goal}")
         if self.loss_tol < 0.0:
             raise ValueError(f"loss tolerance must be non-negative, got {self.loss_tol}")
-        if not (0.0 <= self.init_ratio <= 1.0):
-            raise ValueError(f"init ratio must lie in [0, 1], got {self.init_ratio}")
-        if self.init_seed is not None and self.init_seed < 0:
-            raise ValueError(f"init seed must be non-negative, got {self.init_seed}")
 
 
 @dataclass(frozen=True)
@@ -122,22 +113,25 @@ class TrainReport:
 
 
 def train(
-    initial: WalkState, target: Distribution, config: TrainConfig = TrainConfig()
+    initial: WalkState,
+    target: Distribution,
+    config: TrainConfig = TrainConfig(),
+    start: CoinSchedule | None = None,
 ) -> TrainReport:
     """Fit a coin schedule so the walk's output matches the target.
 
-    Plain gradient descent on the bias ratios; fully deterministic for a
-    given configuration (including the init seed).  Running out of
-    iterations is not an error: the report comes back with
-    ``converged=False`` and the complete trace.
+    Plain gradient descent on the bias ratios from ``start``, by default the
+    constant-0.5 grid; fully deterministic for a given start and
+    configuration.  Running out of iterations is not an error: the report
+    comes back with ``converged=False`` and the complete trace.
     """
     if target.steps < 1:
         raise ValueError("training needs a target over at least one step")
     steps, goal = target.steps, target.values
-    if config.init_seed is None:
-        ratios = CoinSchedule.constant(steps, config.init_ratio).values
-    else:
-        ratios = CoinSchedule.random(steps, config.init_seed).values
+    if start is None:
+        start = CoinSchedule.constant(steps)
+    _check_same_support(start, target)
+    ratios = start.values
     trace: list[tuple[int, float, float]] = []
     k = 0
     while True:
@@ -160,13 +154,14 @@ def train_multi_start(
     config: TrainConfig,
     seeds: Sequence[int],
 ) -> TrainReport:
-    """Run one seeded-random training per seed and keep the best report.
+    """Train once from ``CoinSchedule.random(target.steps, seed)`` per seed
+    and keep the best report.
 
     Selection is by final fidelity; ties go to the earliest seed in sorted
     order, so the result does not depend on evaluation order.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    ordered = sorted(set(int(s) for s in seeds))
-    reports = (train(initial, target, replace(config, init_seed=seed)) for seed in ordered)
+    starts = (CoinSchedule.random(target.steps, seed) for seed in sorted(set(map(int, seeds))))
+    reports = (train(initial, target, config, start) for start in starts)
     return max(reports, key=lambda report: report.final_fidelity)

@@ -613,6 +613,19 @@ def test_failed_trace_write_leaves_the_schedule_as_it_was(tmp_path, capsys):
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("log", ["x.csv", "./x.csv"])
+def test_a_set_that_names_one_file_twice_is_refused(log, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--steps", "2", "--target", "uniform", "--out", "x.csv", "--log", log]
+    for before in [{}, {"x.csv": b"steps=1\n1,0,0.5\n"}]:
+        if before:
+            (tmp_path / "x.csv").write_bytes(before["x.csv"])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: x.csv and {log} name the same file\n"
+        # no file, or the old one, and no temporary file
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 #: Peak of the allocations that tracemalloc sees (numpy buffers included)
 #: allowed to one `sample` or `analyze` of 2*10^6 outcomes.  Holding them all
 #: takes ~80 MB; one chunk or block takes well under 1 MB.
@@ -652,6 +665,9 @@ def test_memory_does_not_grow_with_the_sample_count(command, workspace, tmp_path
         (["train", "--steps", "4", "--init", "rand:1.5"], "expected rand:<seed>, got"),
         (["analyze", "--steps", "4"], "outcome index 5 outside [0, 4]"),
         (["train", "--steps", "4", "--init", "rand:-1"], "init seed must be non-negative, got -1"),
+        (["train", "--steps", "4", "--init", "const:1.2"], "init ratio must lie in [0, 1], got 1.2"),
+        (["train", "--steps", "4", "--init", "const:nan"], "init ratio must lie in [0, 1], got nan"),
+        (["train", "--steps", "4", "--init", "peel"], "unknown init spec 'peel'"),
     ],
 )
 def test_bad_flag_value_is_one_error_line(flags, pinned, workspace, tmp_path, capsys):

@@ -260,10 +260,11 @@ class TestArtifactSets:
         with fileio.all_or_none():
             write_schedule(CoinSchedule.constant(1), b)
             fileio.write_trace([(0, 0.5, 0.5)], a)
-            write_schedule(CoinSchedule.constant(2), b)  # a rewrite of one target wins
+            with pytest.raises(ValueError, match=f"^{b} and {b} name the same file$"):
+                write_schedule(CoinSchedule.constant(2), b)  # a second write of one target
             assert replaced == [] and not a.exists() and not b.exists()
         assert replaced == ["b.csv", "a.csv"]
-        assert b.read_text() == schedule_to_text(CoinSchedule.constant(2))
+        assert b.read_text() == schedule_to_text(CoinSchedule.constant(1))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
     def test_an_error_in_the_block_removes_every_temporary_file(self, tmp_path):

@@ -149,6 +149,27 @@ def test_cli_artifact_digest(cli_chain, name):
     assert _sha(cli_chain[name].read_bytes()) == CLI_DIGESTS[name]
 
 
+#: Schedule and trace digests of a 20-iteration uniform training from each non-default start.
+INIT_DIGESTS = {
+    "rand:7": (
+        "f7b6313c6c8feb8133b9277b3e97e2cbab05f8834ee71ffe0b3fd1e8b585c6e8",
+        "00601d743bd0d34ec1484a72ff1b72cc1677fee14db77564eec2655878aae257",
+    ),
+    "const:0.25": (
+        "d817c58fec01f463ad88b2863c7c7946beecc96a87cf6b483c8727b2b3875649",
+        "564d3161c91fcf8142e0ea2cf088bc72ceec92d7c393c9928bb35375a65fdcea",
+    ),
+}
+
+
+@pytest.mark.parametrize("init", sorted(INIT_DIGESTS))
+def test_training_start_digest(tmp_path, init):
+    sched, trace = tmp_path / "s.sched", tmp_path / "s.trace.csv"
+    argv = ["train", "--steps", "4", "--target", "uniform", "--max-iters", "20", "--init", init]
+    assert main(argv + ["--out", str(sched), "--log", str(trace)]) == 2
+    assert (_sha(sched.read_bytes()), _sha(trace.read_bytes())) == INIT_DIGESTS[init]
+
+
 def test_multi_digit_index_stream_digest(tmp_path):
     """A 16-step stream, so the index file holds one- and two-digit rows
     (every index 0-16 occurs at this seed and count)."""

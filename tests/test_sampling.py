@@ -217,7 +217,3 @@ class TestTallies:
     def test_empirical_distribution_normalizes(self):
         emp = empirical_distribution(np.array([0, 1, 1, 2]), 2)
         assert emp.probs == {-2: 0.25, 0: 0.5, 2: 0.25}
-
-    def test_stream_positions_mapping(self):
-        stream = SampleStream(outcomes=np.array([0, 2, 4]), n_outcomes=5)
-        assert list(stream.positions()) == [-4, 0, 4]

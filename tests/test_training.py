@@ -178,13 +178,6 @@ class TestTrainConfig:
             TrainConfig(fidelity_goal=0.0)
         with pytest.raises(ValueError, match="loss tolerance"):
             TrainConfig(loss_tol=-1.0)
-        with pytest.raises(ValueError, match="init ratio"):
-            TrainConfig(init_ratio=1.2)
-
-    def test_negative_init_seed_rejected(self):
-        with pytest.raises(ValueError, match="^init seed must be non-negative, got -1$"):
-            TrainConfig(init_seed=-1)
-        assert TrainConfig(init_seed=0).init_seed == 0
 
 
 class TestTrain:
@@ -234,10 +227,21 @@ class TestTrain:
         assert a.final_schedule.ratios == b.final_schedule.ratios
 
     def test_seeded_random_init_deterministic(self, circ_left, uniform4):
-        cfg = TrainConfig(max_iters=25, fidelity_goal=1.0, init_seed=99)
-        a = train(circ_left, uniform4, cfg)
-        b = train(circ_left, uniform4, cfg)
+        cfg = TrainConfig(max_iters=25, fidelity_goal=1.0)
+        a = train(circ_left, uniform4, cfg, CoinSchedule.random(4, 99))
+        b = train(circ_left, uniform4, cfg, CoinSchedule.random(4, 99))
         assert a.iterations == b.iterations
+        assert a.iterations[0] != train(circ_left, uniform4, cfg).iterations[0]
+
+    def test_default_start_is_the_constant_half_grid(self, circ_left, uniform4):
+        cfg = TrainConfig(max_iters=5)
+        a = train(circ_left, uniform4, cfg)
+        b = train(circ_left, uniform4, cfg, CoinSchedule.constant(4, 0.5))
+        assert a.iterations == b.iterations
+
+    def test_start_of_another_walk_length_rejected(self, circ_left, uniform4):
+        with pytest.raises(ValueError, match=r"different supports \(3 vs 4 steps\)"):
+            train(circ_left, uniform4, start=CoinSchedule.constant(3))
 
     def test_non_convergence_reports_instead_of_raising(self, circ_left, uniform4):
         report = train(circ_left, uniform4, TrainConfig(max_iters=3))
@@ -267,19 +271,16 @@ class TestMultiStart:
         a = train_multi_start(circ_left, uniform4, cfg, seeds)
         b = train_multi_start(circ_left, uniform4, cfg, list(reversed(seeds)))
         assert a.iterations == b.iterations
-        singles = [
-            train(circ_left, uniform4, TrainConfig(max_iters=30, fidelity_goal=1.0, init_seed=s))
-            for s in seeds
-        ]
+        singles = [train(circ_left, uniform4, cfg, CoinSchedule.random(4, s)) for s in seeds]
         assert a.final_fidelity == max(r.final_fidelity for r in singles)
 
     def test_ties_go_to_the_earliest_sorted_seed(self, circ_left, uniform4, monkeypatch):
-        def equally_good(initial, target, config):
-            return SimpleNamespace(final_fidelity=0.5, seed=config.init_seed)
+        def equally_good(initial, target, config, start):
+            return SimpleNamespace(final_fidelity=0.5, start=start)
 
         monkeypatch.setattr(qwrng.training, "train", equally_good)
         best = train_multi_start(circ_left, uniform4, TrainConfig(), [7, 3, 9, 3, 5])
-        assert best.seed == 3
+        assert np.array_equal(best.start.values, CoinSchedule.random(4, 3).values)
 
     def test_empty_seed_list_rejected(self, circ_left, uniform4):
         with pytest.raises(ValueError, match="seed"):
