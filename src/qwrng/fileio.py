@@ -64,9 +64,11 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     its first chunk when the directory has less space free.  Inside
     :func:`all_or_none` the replace waits for the end of the block, and a
     target that the block has already written is refused."""
-    staged = _staged.get()
+    staged, name = _staged.get(), os.path.basename(path)
     for _, done in staged or ():
-        if os.path.realpath(done) == os.path.realpath(path):
+        # only writes with one last component share a temporary file and a
+        # rename target: a symlink there is replaced, not written through
+        if os.path.basename(done) == name and os.path.realpath(done) == os.path.realpath(path):
             raise ValueError(f"{done} and {path} name the same file")
     _check_regular(path)
     if at_least:
