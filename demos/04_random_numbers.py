@@ -48,7 +48,7 @@ print(f"entropy: shannon {shannon:.4f} bits/outcome, min-entropy {min_h:.4f} "
 # Multi-bit encoding: five outcomes need 3-bit fields.  Bits are only
 # individually unbiased for a uniform source over a power-of-two support,
 # so for five outcomes the stream is an encoding, not extracted randomness.
-bits = encode_bits(stream, stream.n_outcomes)
+bits = encode_bits(stream.outcomes, stream.n_outcomes)
 packed, padding = pack_bits(bits)
 print(f"\nencoded {stream.count} outcomes -> {bits.size} bits "
       f"-> {len(packed)} bytes ({padding} padding bits)")

@@ -1,7 +1,8 @@
 """Text formats for schedules, distributions, traces, reports and sample
 streams; this module alone reads them and writes them, each file atomically.
-The writes inside :func:`all_or_none` form one set: none of its targets is
-replaced until all of its files are written.
+Every write belongs to an artifact set: the writes inside :func:`all_or_none`
+form one, and none of its targets is replaced until all of its files are
+written; a write on its own is a set of one.
 
 Sample streams move in chunks both ways, so memory does not grow with their
 length: the writers encode and write a :class:`sampling.ChunkedStream` as it
@@ -61,11 +62,14 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     while the chunks are produced) leaves the old file intact.  The temporary
     file is created with a plain ``open``, so its mode follows the umask like
     any new file.  A write promised to take ``at_least`` bytes fails before
-    its first chunk when the directory has less space free.  Inside
-    :func:`all_or_none` the replace waits for the end of the block, and a
-    target that the block has already written is refused."""
-    staged, name = _staged.get(), os.path.basename(path)
-    for _, done in staged or ():
+    its first chunk when the directory has less space free.  The replace waits
+    for the end of the :func:`all_or_none` block, a set of one outside any, and
+    a target that the block has already written is refused."""
+    if (staged := _staged.get()) is None:
+        with all_or_none():
+            return _write(path, data, at_least)
+    name = os.path.basename(path)
+    for _, done in staged:
         # only writes with one last component share a temporary file and a
         # rename target: a symlink there is replaced, not written through
         if os.path.basename(done) == name and os.path.realpath(done) == os.path.realpath(path):
@@ -78,10 +82,7 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     tmp = f"{path}.{os.getpid()}.tmp"
     with _removed_on_error(tmp, path), open(tmp, "wb") as fh:
         fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
-    if staged is None:
-        _replace(tmp, path)
-    else:
-        staged.append((tmp, path))
+    staged.append((tmp, path))
 
 
 @contextlib.contextmanager
@@ -95,11 +96,6 @@ def _removed_on_error(tmp: str, path: str | Path) -> Iterator[None]:
         if isinstance(exc, OSError) and exc.filename == tmp:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
-
-
-def _replace(tmp: str, path: str | Path) -> None:
-    with _removed_on_error(tmp, path):
-        os.replace(tmp, path)
 
 
 @contextlib.contextmanager
@@ -116,7 +112,8 @@ def all_or_none() -> Iterator[None]:
     try:
         yield
         for tmp, path in staged:
-            _replace(tmp, path)
+            with _removed_on_error(tmp, path):
+                os.replace(tmp, path)
     except BaseException:
         for tmp, _ in staged:
             Path(tmp).unlink(missing_ok=True)

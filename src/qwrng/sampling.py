@@ -140,15 +140,15 @@ def check_outcomes(outcomes: np.ndarray, n_outcomes: int) -> None:
         raise ValueError(f"outcome index {bad} outside [0, {n_outcomes - 1}]")
 
 
-def encode_bits(stream: SampleStream | np.ndarray, n_outcomes: int) -> np.ndarray:
-    """Concatenate each index as a big-endian fixed-width bit field.
+def encode_bits(stream: np.ndarray, n_outcomes: int) -> np.ndarray:
+    """Concatenate each index of the int array ``stream`` as a big-endian fixed-width bit field.
 
     The width is ``ceil(log2(n_outcomes))`` bits.  Individual bits are only
     unbiased when the source distribution is uniform over a power-of-two
     number of outcomes; for other supports the stream is still a faithful
     encoding but the bit marginals inherit the outcome bias.
     """
-    outcomes = np.asarray(getattr(stream, "outcomes", stream), dtype=np.int64)
+    outcomes = np.asarray(stream, dtype=np.int64)
     check_outcomes(outcomes, n_outcomes)
     width = bit_width(n_outcomes)
     # one bit column at a time, from the narrowest integer type that holds

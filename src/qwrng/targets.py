@@ -24,9 +24,9 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     ``T(m)`` is proportional to ``exp(-(m - mu)^2 / (2 sigma^2))`` over the
     parity-correct sites; the weights are shifted in log space before
     exponentiation so extreme parameters cannot underflow to an all-zero
-    vector.  Parameters so extreme that even the nearest site's log weight
-    is not finite (its squared distance or sigma's square over- or
-    underflows) are rejected.
+    vector; a sigma whose square overflows scales the distances first.
+    Parameters so extreme that even the nearest site's log weight is still
+    not finite are rejected.
     """
     if steps < 1:
         raise ValueError(f"a gaussian target needs at least one step, got {steps}")
@@ -37,6 +37,8 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     sites = np.arange(-steps, steps + 1, 2, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)
+        if not math.isfinite(log_w.max()) and math.isinf(sigma * sigma):
+            log_w = -(((sites - mu) / sigma) ** 2) / 2
     # a far-off site may overflow to -inf and weigh 0, but the nearest must stay finite
     peak = log_w.max()
     if not math.isfinite(peak):

@@ -9,23 +9,23 @@ by a three-phase rotation (:func:`coin_matrix`) or by a single bias ratio
 gives the Hadamard coin.
 
 After ``t`` steps only the sites ``-t, -t+2, ..., t`` can be occupied.  A
-state holds one float64 slot array of shape ``(2, t + 1)`` per coin
-component, real and imaginary rows (the coins are real, so the parts evolve
-independently).  The coin layer is four vectorized multiply-adds with
-``sqrt(r)`` and ``sqrt(1 - r)``; the shift appends a zero slot to L and
-prepends one to R.  Schedules and distributions are flat float64 arrays.
+state is slot-major: one float64 array of shape ``(t + 1, 2)`` per coin
+component, a row of real and imaginary parts per site (the coins are real,
+so the parts evolve independently).  The coin layer is four vectorized
+multiply-adds with ``sqrt(r)`` and ``sqrt(1 - r)``; the shift appends a
+zero row to L and prepends one to R.  Schedules and distributions are flat
+float64 arrays.
 
-The forward pass keeps every state of a walk in two slot-major buffers, L
-and R, of shape ``(slots, ..., 2)``: one leading-axis row per slot, the
-batch axes and the real/imaginary pair inside it.  The state before step
-``t`` is then one contiguous block of rows, and so are its coin factors,
-built once per pass at shape ``(count, ..., 2)``.  Each step's ufuncs take
-operands of one shape, which skip numpy's broadcasting machinery, and the
-shift is only where their results land.  A stack of schedules (ratio
-arrays of shape ``(..., count)``) is walked at once, and every row evolves
-exactly as it would alone.  The transpose of a pass, the adjoint sweep
-:func:`_gradient`, returns ``J^T v`` for a cotangent ``v`` over the output
-probabilities of one pass.
+The forward pass keeps every state of a walk in two such buffers, L and R,
+of shape ``(slots, ..., 2)``, with any batch axes between a slot's row and
+its real/imaginary pair.  The state before step ``t`` is then one
+contiguous block of rows, and so are its coin factors, built once per pass
+at shape ``(count, ..., 2)``.  Each step's ufuncs take operands of one
+shape, which skip numpy's broadcasting machinery, and the shift is only
+where their results land.  A stack of schedules (ratio arrays of shape
+``(..., count)``) is walked at once, and every row evolves exactly as it
+would alone.  The adjoint sweep :func:`_gradient` transposes one pass: it
+returns ``J^T v`` for a cotangent ``v`` over the pass's probabilities.
 """
 
 from __future__ import annotations
@@ -191,9 +191,9 @@ class CoinSchedule:
 
 
 class WalkState:
-    """Walker state after ``step`` steps: the slot arrays ``left`` and ``right``,
-    each ``(2, step + 1)`` (real and imaginary rows, one column per site;
-    after :func:`run_walk`, transposed views of the walk's slot-major rows).
+    """Walker state after ``step`` steps: the slot-major arrays ``left`` and
+    ``right``, each ``(step + 1, 2)``, one row of real and imaginary parts per
+    site (after :func:`run_walk`, views of the walk's final rows).
 
     ``amplitudes`` maps occupied positions to complex ``(c_L, c_R)`` pairs
     (a read-only view).
@@ -204,8 +204,8 @@ class WalkState:
 
     @cached_property
     def amplitudes(self) -> Mapping[int, np.ndarray]:
-        parts = np.stack([self.left, self.right], axis=-1)  # (re/im, site, L/R)
-        pairs = zip(support_positions(self.step), parts[0] + 1j * parts[1])
+        parts = np.stack([self.left, self.right], axis=1)  # (site, L/R, re/im)
+        pairs = zip(support_positions(self.step), parts[..., 0] + 1j * parts[..., 1])
         return MappingProxyType({m: pair for m, pair in pairs if pair.any()})
 
     def positions(self) -> list[int]:
@@ -213,7 +213,7 @@ class WalkState:
         return list(self.amplitudes)
 
     def norm(self) -> float:
-        return math.sqrt(float(_probs(self.left.T, self.right.T).sum()))
+        return math.sqrt(float(_probs(self.left, self.right).sum()))
 
 
 def initial_state(coin_vector: Iterable[complex]) -> WalkState:
@@ -231,8 +231,8 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
     sq = float(np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2)
     if abs(sq - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"coin vector is not normalized: |v|^2 = {sq!r}")
-    parts = np.array([vec.real, vec.imag])  # (re/im, L/R)
-    return WalkState(0, (parts[:, :1], parts[:, 1:]))
+    left, right = vec.view(np.float64).reshape(2, 1, 2)  # (L/R, site, re/im)
+    return WalkState(0, (left, right))
 
 
 def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -260,7 +260,7 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
     b = np.repeat(np.sqrt(1.0 - rows), 2, axis=-1)
     shape = (_triangle(steps + 1), *values.shape[:-1], 2)
     left, right = np.zeros(shape), np.zeros(shape)
-    left[0], right[0] = initial.left[:, 0], initial.right[:, 0]
+    left[0], right[0] = initial.left[0], initial.right[0]
     start = 0
     for t in range(1, steps + 1):
         end = start + t
@@ -320,7 +320,7 @@ def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:
     """Evolve an origin-start state through every step of a schedule."""
     (_, _, left, right), _ = _forward(schedule.values, schedule.steps, initial)
     final = schedule.values.size
-    return WalkState(schedule.steps, (left[final:].T, right[final:].T))
+    return WalkState(schedule.steps, (left[final:], right[final:]))
 
 
 class Distribution:
@@ -357,4 +357,4 @@ class Distribution:
 
 def measure(state: WalkState) -> Distribution:
     """Collapse a state to outcome probabilities |c_L|^2 + |c_R|^2 per site."""
-    return Distribution(state.step, _probs(state.left.T, state.right.T))
+    return Distribution(state.step, _probs(state.left, state.right))

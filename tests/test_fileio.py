@@ -275,6 +275,23 @@ class TestArtifactSets:
             raise KeyboardInterrupt
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "old\n"}
 
+    def test_a_failed_write_caught_in_the_block_leaves_its_target(self, tmp_path):
+        (tmp_path / "a.csv").write_text("old\n")
+
+        def chunks():
+            yield b"half"
+            raise OSError("detector offline")
+
+        with fileio.all_or_none():
+            with pytest.raises(OSError, match="detector offline"):
+                fileio._write(tmp_path / "a.csv", chunks())
+            fileio.write_trace([(0, 0.5, 0.5)], tmp_path / "b.csv")
+        # the caught failure is neither replaced nor left as a temporary file
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+            "a.csv": "old\n",
+            "b.csv": fileio.trace_to_text([(0, 0.5, 0.5)]),
+        }
+
 
 class TestReports:
     def test_layout_and_types(self):

@@ -43,9 +43,7 @@ from qwrng.fileio import (
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
 from qwrng.sampling import _CHUNK, ChunkedStream, build_sampler, draw, encode_bits
 from qwrng.walk import _forward
-
-# a fixed example sequence keeps the suite's verdict reproducible
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+from util import PROPERTY
 
 
 @st.composite

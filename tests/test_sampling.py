@@ -18,7 +18,7 @@ from qwrng import (
     uniform_target,
     unpack_bits,
 )
-from qwrng.sampling import _CHUNK, SampleStream, bit_width
+from qwrng.sampling import _CHUNK, bit_width
 
 #: chi-square upper critical value at the 1% level for four degrees of freedom
 CHI2_CRIT_DOF4_1PCT = 13.276704135987622
@@ -155,17 +155,14 @@ class TestGuideTableLookup:
 
 class TestEncoding:
     def test_two_bit_fields(self):
-        stream = SampleStream(outcomes=np.array([0, 1, 2, 3]), n_outcomes=4)
-        assert list(encode_bits(stream, 4)) == [0, 0, 0, 1, 1, 0, 1, 1]
+        assert list(encode_bits(np.array([0, 1, 2, 3]), 4)) == [0, 0, 0, 1, 1, 0, 1, 1]
 
     def test_three_bit_field_for_five_outcomes(self):
-        stream = SampleStream(outcomes=np.array([4]), n_outcomes=5)
-        assert list(encode_bits(stream, 5)) == [1, 0, 0]
+        assert list(encode_bits(np.array([4]), 5)) == [1, 0, 0]
 
     def test_out_of_range_index_rejected(self):
-        stream = SampleStream(outcomes=np.array([5]), n_outcomes=5)
         with pytest.raises(ValueError, match="outside"):
-            encode_bits(stream, 5)
+            encode_bits(np.array([5]), 5)
 
     def test_widths(self):
         assert bit_width(1) == 0

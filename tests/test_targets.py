@@ -69,6 +69,17 @@ class TestGaussian:
             for sigma in (1e-150, 1e-160):
                 assert gaussian_target(4, mu=0.0, sigma=sigma).values.tolist() == [0, 0, 1, 0, 0]
 
+    def test_a_sigma_too_large_to_square_gives_the_flat_target(self):
+        # uniform to double precision, as a 60-digit evaluation confirms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu, sigma in [(1e200, 1e200), (1e160, 1e155)]:
+                assert gaussian_target(4, mu, sigma).values.tolist() == [0.2] * 5
+        # no scaling gives these a finite weight
+        for mu, sigma in [(0.0, 1e-200), (1e200, 1.0)]:
+            with pytest.raises(ValueError, match="gives no finite weight"):
+                gaussian_target(4, mu, sigma)
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             gaussian_target(4, sigma=0.0)

@@ -1,10 +1,15 @@
-"""Shared helpers for building randomized test inputs."""
+"""Shared helpers for building randomized test inputs, and the settings of
+the generated-input tests."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 import qwrng
+
+# a fixed example sequence keeps the suite's verdict reproducible
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_coin_vector(rng: np.random.Generator) -> np.ndarray:
