@@ -27,11 +27,11 @@ def _check_same_support(y, target: Distribution) -> None:
 
 
 def _mse(p: np.ndarray, t: np.ndarray) -> float:
-    return 0.5 * float(np.sum((t - p) ** 2))
+    return 0.5 * float(np.add.reduce(np.square(t - p)))
 
 
 def _fidelity(y: np.ndarray, t: np.ndarray) -> float:
-    return float(np.sum(y * t)) / float(np.sum(np.maximum(y, t) ** 2))
+    return float(np.add.reduce(y * t)) / float(np.add.reduce(np.square(np.maximum(y, t))))
 
 
 def mse_loss(output: Distribution, target: Distribution) -> float:
@@ -142,7 +142,7 @@ def train(
         if converged or k == config.max_iters:
             break
         step = config.eta * _gradient(forward, probs - goal)
-        ratios = np.clip(ratios - step, 0.0, 1.0)
+        ratios = (ratios - step).clip(0.0, 1.0)
         k += 1
     schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)
     return TrainReport(trace, schedule, converged, output)

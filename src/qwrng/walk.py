@@ -228,7 +228,8 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
         raise ValueError(f"coin vector must have two components, got shape {vec.shape}")
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise ValueError("coin vector must be finite")
-    sq = float(np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2)
+    with np.errstate(over="ignore"):  # a huge component squares to inf, which is rejected
+        sq = float(np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2)
     if abs(sq - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"coin vector is not normalized: |v|^2 = {sq!r}")
     left, right = vec.view(np.float64).reshape(2, 1, 2)  # (L/R, site, re/im)
@@ -237,7 +238,7 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
 
 def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Per-slot probability |c_L|^2 + |c_R|^2 of slot-major rows ``(..., 2)``."""
-    return (left * left).sum(-1) + (right * right).sum(-1)
+    return np.add.reduce(left * left, -1) + np.add.reduce(right * right, -1)
 
 
 def _forward(values: np.ndarray, steps: int, initial: WalkState):
@@ -255,11 +256,12 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
     """
     if initial.step != 0 or initial.positions() != [0]:
         raise ValueError("the walk requires a step-0 state located at the origin")
-    rows = np.moveaxis(values, -1, 0)[..., None]
-    a = np.repeat(np.sqrt(rows), 2, axis=-1)
-    b = np.repeat(np.sqrt(1.0 - rows), 2, axis=-1)
-    shape = (_triangle(steps + 1), *values.shape[:-1], 2)
-    left, right = np.zeros(shape), np.zeros(shape)
+    *batch, count = values.shape
+    coin = np.empty((2, count, *batch, 2))
+    coin[0] = values.transpose(len(batch), *range(len(batch)))[..., None]
+    np.subtract(1.0, coin[0], out=coin[1])
+    a, b = np.sqrt(coin, out=coin)
+    left, right = np.zeros((2, _triangle(steps + 1), *batch, 2))
     left[0], right[0] = initial.left[0], initial.right[0]
     start = 0
     for t in range(1, steps + 1):
@@ -269,15 +271,16 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
         np.add(sr * l, sq * r, out=left[end : end + t])
         np.subtract(sq * l, sr * r, out=right[end + 1 : end + t + 1])
         start = end
-    return (a, b, left, right), np.moveaxis(_probs(left[start:], right[start:]), 0, -1)
+    probs = _probs(left[start:], right[start:])
+    return (a, b, left, right), probs.transpose(*range(1, len(batch) + 1), 0)
 
 
 @lru_cache(maxsize=8)
 def _after_coin(steps: int) -> np.ndarray:
-    """Row ``k + t`` for entry ``k`` of step ``t``: where L holds the state
-    right after that entry's coin (R holds it one row further)."""
+    """Rows ``k + t`` and ``slots + k + t + 1`` for entry ``k`` of step ``t``:
+    where L and R, stacked ``(2 * slots, 2)``, hold the state after its coin."""
     steps_of = np.repeat(np.arange(1, steps + 1), np.arange(1, steps + 1))
-    rows = np.arange(_triangle(steps)) + steps_of
+    rows = np.arange(_triangle(steps)) + steps_of + [[0], [_triangle(steps + 1) + 1]]
     rows.flags.writeable = False
     return rows
 
@@ -287,18 +290,17 @@ def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
     order, ``v`` being a ``cotangent`` over the output probabilities.
 
     It runs the pass's steps backwards over slot-major adjoint buffers of the
-    pass's shape ``(slots, 2)``: each step back reads the rows the forward
-    step wrote and applies the (symmetric) coin, as the forward step does.
-    The rows after every coin are then gathered once and the real and
-    imaginary parts summed over the last axis.  At r = 0 (1) the unbounded
-    slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio clamped onto
-    the boundary keeps a finite gradient.
+    pass's shape ``(slots, 2)``, stacked in one array: each step back reads
+    the rows the forward step wrote and applies the (symmetric) coin, as the
+    forward step does.  The rows after every coin are then gathered once and
+    the real and imaginary parts summed.  At r = 0 (1) the unbounded slope
+    of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio clamped onto the
+    boundary keeps a finite gradient.
     """
     a, b, left, right = forward
     count, steps = len(a), cotangent.size - 1
-    adj_l, adj_r = np.zeros_like(left), np.zeros_like(right)
-    adj_l[count:] = 2.0 * cotangent[:, None] * left[count:]
-    adj_r[count:] = 2.0 * cotangent[:, None] * right[count:]
+    adj_l, adj_r = adj = np.zeros((2, *left.shape))
+    np.multiply(2.0 * cotangent[:, None], (left[count:], right[count:]), out=adj[:, count:])
     end = count
     for t in range(steps, 0, -1):
         start = end - t
@@ -307,13 +309,12 @@ def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
         np.add(sr * l, sq * r, out=adj_l[start:end])
         np.subtract(sq * l, sr * r, out=adj_r[start:end])
         end = start
-    after = _after_coin(steps)
-    lam_l, lam_r = adj_l[after], adj_r[1:][after]
+    lam_l, lam_r = adj.reshape(-1, 2).take(_after_coin(steps), 0)
     psi_l, psi_r = left[:count], right[:count]
-    sr, sq = a[:, 0], b[:, 0]
-    d_sr = np.divide(0.5, sr, out=np.zeros(count), where=sr > 0.0)[:, None]
-    d_sq = np.divide(-0.5, sq, out=np.zeros(count), where=sq > 0.0)[:, None]
-    return (d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)).sum(-1)
+    d_sr = np.divide(0.5, a[:, 0], out=np.zeros(count), where=a[:, 0] > 0.0)[:, None]
+    d_sq = np.divide(-0.5, b[:, 0], out=np.zeros(count), where=b[:, 0] > 0.0)[:, None]
+    parts = d_sr * (lam_l * psi_l - lam_r * psi_r) + d_sq * (lam_l * psi_r + lam_r * psi_l)
+    return parts[:, 0] + parts[:, 1] + 0.0  # add.reduce's bytes: two -0.0 parts sum to +0.0
 
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:

@@ -778,6 +778,15 @@ def test_failing_run_shows_no_warning_before_its_error_line(workspace, tmp_path)
     assert _read_report(tmp_path / "r.csv")["samples"] == "2"
 
 
+def test_huge_custom_coin_vector_fails_with_one_error_line(workspace, tmp_path):
+    out = tmp_path / "d.csv"
+    argv = ["simulate", "--schedule", str(workspace["schedule"]), "--out", str(out)]
+    failed = _fresh(argv + ["--initial", "custom:1e308,0,0,0"])
+    assert failed.returncode == 1
+    assert failed.stderr == "error: coin vector is not normalized: |v|^2 = inf\n"
+    assert not out.exists()
+
+
 def test_one_parser_serves_successive_calls(tmp_path, capsys):
     # each later call sets options the earlier ones left at their defaults, and
     # the reverse, so a value kept from one parse would change an artifact

@@ -170,6 +170,32 @@ def test_training_start_digest(tmp_path, init):
     assert (_sha(sched.read_bytes()), _sha(trace.read_bytes())) == INIT_DIGESTS[init]
 
 
+#: Schedule and trace digests of two more training jobs: the benchmark's n = 8
+#: shape, and a start of -0.0 ratios, whose schedule keeps two -0 rows that a
+#: clip dropping the sign of zero would change.
+JOB_DIGESTS = {
+    "n8-gaussian-rand": (
+        ["--steps", "8", "--target", "gaussian:1.3,2.1", "--init", "rand:11",
+         "--max-iters", "20", "--fidelity-goal", "1.0"],
+        "4a2f706a8c89a323383caa78c24b28c0fe5cbe0647c1349393b96305c0f88a81",
+        "9df954d545af3c8aa34dc3ed1bf2f83d956896cc0bf82e21ef6adfd37a8a60ad",
+    ),
+    "n4-const-minus-zero": (
+        ["--steps", "4", "--target", "gaussian:0.5,1.5", "--init", "const:-0", "--max-iters", "3"],
+        "f12e8ae5af5cd097167c7bca1e49ace0cc70eda34a7d9c0040ada7c770ac84ae",
+        "d5a40355a7526262f1d2d03e40f60edc99c261369cb873bb6c2121f7953bdbb8",
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(JOB_DIGESTS))
+def test_training_job_digest(tmp_path, job):
+    args, sched_sha, trace_sha = JOB_DIGESTS[job]
+    sched, trace = tmp_path / "s.sched", tmp_path / "s.trace.csv"
+    assert main(["train", *args, "--out", str(sched), "--log", str(trace)]) == 2
+    assert (_sha(sched.read_bytes()), _sha(trace.read_bytes())) == (sched_sha, trace_sha)
+
+
 def test_multi_digit_index_stream_digest(tmp_path):
     """A 16-step stream, so the index file holds one- and two-digit rows
     (every index 0-16 occurs at this seed and count)."""

@@ -1,12 +1,12 @@
 """Generated-input properties: the array walk core against the brute-force
 oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
 up to the oracle's size cap, batched rows past that cap against their own
-walks, and the adjoint gradient), and the file formats
-(byte-exact round trips, every bit width, streamed sample files against
-one-piece ones across chunk edges, line-numbered diagnostics, the
-array-speed index codec against the plain line-by-line one, the schedule
-reader against its general path on mutated files, and the two ways a
-mutated bit file may fail)."""
+walks, a stack over two batch axes row by row, and the adjoint gradient),
+and the file formats (byte-exact round trips, every bit width, streamed
+sample files against one-piece ones across chunk edges, line-numbered
+diagnostics, the array-speed index codec against the plain line-by-line
+one, the schedule reader against its general path on mutated files, and
+the two ways a mutated bit file may fail)."""
 
 import math
 
@@ -120,6 +120,24 @@ def test_batched_walk_rows_equal_their_walks_alone_past_the_oracle_cap(steps, ro
         assert probs[b].tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), coin_vectors())
+def test_two_batch_axes_keep_their_order(steps, seed, v):
+    # a (2, 3) stack: a reversed batch order would mismatch shapes or rows
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (2, 3, steps * (steps + 1) // 2))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = 1.0
+    initial = initial_state(v)
+    (_, _, left, right), probs = _forward(values, steps, initial)
+    assert probs.shape == (2, 3, steps + 1)
+    for i, j in np.ndindex(2, 3):
+        (_, _, row_left, row_right), row_probs = _forward(values[i, j], steps, initial)
+        assert probs[i, j].tobytes() == row_probs.tobytes()
+        assert left[:, i, j].tobytes() == row_left.tobytes()
+        assert right[:, i, j].tobytes() == row_right.tobytes()
 
 
 @PROPERTY

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,8 +100,9 @@ class TestInitialState:
         assert abs(s.norm() - 1.0) <= 1e-12
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError) as info:
             initial_state((0.6, 0.9))
+        assert str(info.value) == f"coin vector is not normalized: |v|^2 = {0.6**2 + 0.9**2!r}"
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="two components"):
@@ -109,6 +111,13 @@ class TestInitialState:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             initial_state((float("nan"), 0.0))
+
+    def test_huge_component_rejected_without_a_warning(self):
+        # its square overflows to inf, which is reported, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not normalized: \|v\|\^2 = inf$"):
+                initial_state((1e308, 0.0))
 
 
 def one_step(vector, ratio):
