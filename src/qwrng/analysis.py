@@ -1,4 +1,13 @@
-"""Statistical validation of sample streams and schedule robustness checks."""
+"""Statistical validation of sample streams and schedule robustness checks.
+
+Wave-plate quantization rounds a ratio's plate angle to whole resolution
+steps, k = round(degrees(arccos(sqrt(r))) / 2 / resolution), and maps k back
+through r = cos^2(2 k resolution).  :func:`quantize_ratio` is that rule for
+one ratio, and the reference; :func:`quantize_schedule` applies it to a whole
+schedule with array code, to the same bytes.  :func:`robustness_sweep` walks
+the noisy schedules of one magnitude together, in batches of bounded memory,
+and scores each batch's rows in one reduction.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .training import _check_same_support, _fidelity
+from .training import _check_same_support
 from .walk import CoinSchedule, Distribution, WalkState, _forward, _triangle
 
 #: Wave-plate resolution (degrees) of the modeled hardware; a half-wave
@@ -87,17 +96,14 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
             continue
         statistic += (o - expected) ** 2 / expected
     dof = target.steps
+    p_value = chi_square_p_value(float(statistic), dof)  # a one-site target fails here
     if total < 5 * sites:  # only once every check has passed: a rejected count shows its error alone
         warnings.warn(
             f"only {total} observations over {sites} sites;"
             " the chi-square approximation may be poor",
             stacklevel=2,
         )
-    return ChiSquareReport(
-        statistic=float(statistic),
-        dof=dof,
-        p_value=chi_square_p_value(float(statistic), dof),
-    )
+    return ChiSquareReport(statistic=float(statistic), dof=dof, p_value=p_value)
 
 
 def entropy_report(dist: Distribution) -> tuple[float, float]:
@@ -109,6 +115,22 @@ def entropy_report(dist: Distribution) -> tuple[float, float]:
     return shannon, min_entropy
 
 
+def _check_resolution(hwp_resolution_deg: float) -> None:
+    if not 0.0 < hwp_resolution_deg < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {hwp_resolution_deg}")
+
+
+def _plate_ratio(k: float, hwp_resolution_deg: float) -> float:
+    """The ratio cos^2(2*phi) of a plate at phi = ``k`` resolution steps."""
+    return math.cos(math.radians(2.0 * (k * hwp_resolution_deg))) ** 2
+
+
+#: Relative distance from a half step within which a plate-step count may
+#: round apart between numpy's and ``math``'s arccos: the two counts differ
+#: on ~7 % of ratios, by below 5e-16 relative in every case measured.
+_TIE_RTOL = 1e-12
+
+
 def quantize_ratio(ratio: float, hwp_resolution_deg: float = DEFAULT_HWP_RESOLUTION_DEG) -> float:
     """Snap one bias ratio onto the grid realizable by the wave plate.
 
@@ -116,20 +138,52 @@ def quantize_ratio(ratio: float, hwp_resolution_deg: float = DEFAULT_HWP_RESOLUT
     at phi = theta/2; phi is rounded to the nearest multiple of the
     resolution and mapped back through r = cos^2(2*phi).
     """
-    if not 0.0 < hwp_resolution_deg < math.inf:
-        raise ValueError(f"resolution must be positive and finite, got {hwp_resolution_deg}")
+    _check_resolution(hwp_resolution_deg)
     theta_deg = math.degrees(math.acos(min(1.0, math.sqrt(ratio))))
-    phi_q = round((theta_deg / 2.0) / hwp_resolution_deg) * hwp_resolution_deg
-    return math.cos(math.radians(2.0 * phi_q)) ** 2
+    plate_steps = (theta_deg / 2.0) / hwp_resolution_deg
+    if plate_steps == math.inf:
+        raise ValueError(
+            f"resolution {hwp_resolution_deg!r} is too fine: a plate angle's step count overflows"
+        )
+    return _plate_ratio(round(plate_steps), hwp_resolution_deg)
 
 
 def quantize_schedule(
     schedule: CoinSchedule, hwp_resolution_deg: float = DEFAULT_HWP_RESOLUTION_DEG
 ) -> CoinSchedule:
-    """Quantize every ratio of a schedule to the wave-plate grid."""
-    return schedule.with_array(
-        [quantize_ratio(r, hwp_resolution_deg) for r in schedule.values.tolist()]
-    )
+    """Quantize every ratio of a schedule to the wave-plate grid.
+
+    Bit for bit :func:`quantize_ratio` on each ratio.  The plate-step counts
+    x are found for all ratios at once; numpy's arccos can differ from
+    ``math.acos`` in the last ulp, which matters only where x rounds the
+    other way, so a count within a relative 1e-12 of a half step (or too
+    large to hold a fraction) is left to :func:`quantize_ratio`.  Each
+    distinct rounded count is mapped back once, by the scalar formula.
+    """
+    _check_resolution(hwp_resolution_deg)
+    ratios = schedule.values
+    if 45.0 / hwp_resolution_deg == math.inf:
+        # a grid so fine that a step count can overflow: the scalar rule
+        # names the resolution, or quantizes a ratio of 1
+        return schedule.with_array([quantize_ratio(r, hwp_resolution_deg) for r in ratios.tolist()])
+    # schedule ratios lie in [0, 1], so sqrt(r) needs no min(1, ...) here
+    x = np.degrees(np.arccos(np.sqrt(ratios))) / 2.0 / hwp_resolution_deg
+    # the window is wider than half a step from x = 5e11 up, so it also
+    # takes in every x of 2**53 or more, which holds no fraction to round
+    near = (np.abs(np.modf(x)[0] - 0.5) <= _TIE_RTOL * x).nonzero()[0]
+    k = np.rint(x)
+    k[near] = 0.0  # their ratios come from the scalar rule
+    # sorted, each run of equal counts is mapped back once, then scattered
+    order = k.argsort()
+    k = k[order]
+    first = np.empty(k.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(k[1:], k[:-1], out=first[1:])
+    table = np.array([_plate_ratio(q, hwp_resolution_deg) for q in k[first].tolist()])
+    out = np.empty_like(k)
+    out[order] = table[first.cumsum() - 1]
+    out[near] = [quantize_ratio(r, hwp_resolution_deg) for r in ratios[near].tolist()]
+    return schedule.with_array(out)
 
 
 def robustness_sweep(
@@ -147,8 +201,9 @@ def robustness_sweep(
     re-simulated against the target.  Each (magnitude, trial) pair gets its
     own child generator derived from the seed, so results are reproducible
     and independent of any evaluation order.  The trials of one magnitude
-    are walked together, in batches of bounded memory, one forward pass per
-    batch; each fidelity is bit-identical to that of its walk alone.
+    are walked together, in batches of bounded memory, one forward pass and
+    one row-wise fidelity reduction per batch; each fidelity is bit-identical
+    to that of its walk alone.
     """
     mags = [float(d) for d in magnitudes]
     if not mags:
@@ -178,6 +233,11 @@ def robustness_sweep(
                 for t in range(first, min(first + rows, trials))
             ])
             _, probs = _forward(np.clip(base + offsets, 0.0, 1.0), schedule.steps, initial)
-            fids[first : first + len(probs)] = [_fidelity(p, goal) for p in probs]
+            # training's fidelity, row by row: summed along C-contiguous rows,
+            # each sum keeps the pairwise order of its walk alone
+            y = np.ascontiguousarray(probs)
+            overlap = np.add.reduce(y * goal, axis=1)
+            spread = np.add.reduce(np.square(np.maximum(y, goal)), axis=1)
+            fids[first : first + len(y)] = overlap / spread
         points.append((d, float(fids.mean()), float(fids.min())))
     return RobustnessCurve(points=points)

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwrng
+from qwrng import analysis
 from qwrng import (
     NAMED_COIN_VECTORS,
     CoinSchedule,
@@ -23,7 +26,7 @@ from qwrng import (
 )
 from qwrng.analysis import _BATCH_SLOTS
 
-from util import random_coin_vector, random_schedule
+from util import PROPERTY, random_coin_vector, random_schedule
 
 
 class TestChiSquarePValue:
@@ -172,6 +175,25 @@ class TestQuantize:
         with pytest.raises(ValueError, match="resolution"):
             quantize_ratio(0.5, 0.0)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.25, math.inf, math.nan])
+    def test_schedule_resolution_checked_before_any_ratio(self, resolution):
+        # a walk of no steps has no ratio to quantize, and is still refused
+        message = f"resolution must be positive and finite, got {resolution}"
+        for sched in (CoinSchedule(0, []), CoinSchedule.constant(3)):
+            with pytest.raises(ValueError) as err:
+                quantize_schedule(sched, resolution)
+            assert str(err.value) == message
+
+    def test_grid_too_fine_for_a_float_names_the_resolution(self):
+        # 45 degrees of plate angle over 5e-324 degree steps overflows a float
+        with pytest.raises(ValueError, match=r"resolution 5e-324 is too fine"):
+            quantize_ratio(0.0, 5e-324)
+        with pytest.raises(ValueError, match=r"resolution 5e-324 is too fine"):
+            quantize_schedule(CoinSchedule.random(4, 1), 5e-324)
+        # a ratio of 1 is zero steps from the origin at every resolution
+        assert quantize_ratio(1.0, 5e-324) == 1.0
+        assert quantize_schedule(CoinSchedule.constant(3, 1.0), 5e-324).values.tolist() == [1.0] * 6
+
     def test_schedule_quantization_is_elementwise(self):
         rng = np.random.default_rng(3)
         sched = random_schedule(rng, 4)
@@ -187,6 +209,51 @@ class TestQuantize:
         sched = CoinSchedule.random(64, 5)
         expected = [quantize_ratio(r, resolution) for r in sched.values.tolist()]
         assert quantize_schedule(sched, resolution).values.tolist() == expected
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.1, 0.3, 1.0, 0.01])
+    def test_array_rule_is_the_scalar_rule_at_half_steps(self, resolution):
+        # np.arccos puts these ratios' plate angles just below a half step
+        # (61.5 steps of 0.25 deg, 83.5 of 0.1 deg) and math.acos just above
+        flips = [0.7385793801298043, 0.9174239316317033]
+        ratios = flips + [math.nextafter(r, d) for r in flips for d in (0.0, 1.0)]
+        assert_scalar_rule(ratios, resolution)
+
+    # 45 / sys.float_info.max puts a ratio of 0 at the largest finite step count
+    @pytest.mark.parametrize("resolution", [2.503208090820602e-307, 1e-11, 0.25, 1e300])
+    def test_array_rule_is_the_scalar_rule_at_the_ends(self, resolution):
+        assert_scalar_rule([0.0, 1.0, -0.0], resolution)
+
+    def test_schedule_quantization_takes_the_scalar_rule_rarely(self, monkeypatch):
+        calls = []
+        scalar = analysis.quantize_ratio
+
+        def counted(ratio, resolution):
+            calls.append(ratio)
+            return scalar(ratio, resolution)
+
+        monkeypatch.setattr(analysis, "quantize_ratio", counted)
+        sched = CoinSchedule.random(64, 5)
+        quantize_schedule(sched, 0.25)
+        assert len(calls) < 0.01 * sched.values.size
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.1, 0.25, 0.3, 1.0, 7.5e-7]))
+    def test_array_rule_is_the_scalar_rule(self, seed, resolution):
+        # uniform ratios, and ratios whose plate angle is a half step give or take an ulp
+        rng = np.random.default_rng(seed)
+        ks = rng.integers(0, int(45 / resolution), 100).tolist()
+        halves = [math.cos(math.radians(2.0 * ((k + 0.5) * resolution))) ** 2 for k in ks]
+        near = [math.nextafter(r, d) for r in halves for d in (0.0, 1.0)]
+        assert_scalar_rule(rng.uniform(0.0, 1.0, 100).tolist() + halves + near, resolution)
+
+
+def assert_scalar_rule(ratios, resolution):
+    """quantize_schedule on these ratios is quantize_ratio on each, bit for bit."""
+    steps = math.ceil((math.sqrt(8 * len(ratios) + 1) - 1) / 2)  # the fewest that hold them
+    values = list(ratios) + [0.5] * (steps * (steps + 1) // 2 - len(ratios))
+    got = quantize_schedule(CoinSchedule(steps, values), resolution).values[: len(ratios)]
+    expected = np.array([quantize_ratio(r, resolution) for r in ratios])
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestRobustnessSweep:

@@ -787,6 +787,33 @@ def test_huge_custom_coin_vector_fails_with_one_error_line(workspace, tmp_path):
     assert not out.exists()
 
 
+def test_one_site_target_fails_with_one_error_line(tmp_path):
+    # a walk of no steps leaves the chi-square no degree of freedom, an error
+    # that its small-sample warning must not precede
+    schedule, target, samples = tmp_path / "z.sched", tmp_path / "t.csv", tmp_path / "s.txt"
+    schedule.write_text("steps=0\n")
+    target.write_text("position,probability\n0,1\n")
+    samples.write_text("0\n0\n")
+    out = tmp_path / "r.csv"
+    failed = _fresh(["analyze", "--samples", str(samples), "--target", f"file:{target}",
+                     "--schedule", str(schedule), "--out", str(out)])
+    assert failed.returncode == 1
+    assert failed.stderr == "error: degrees of freedom must be positive, got 0\n"
+    assert not out.exists()
+
+
+def test_grid_too_fine_for_a_float_is_one_error_line(workspace, samples, tmp_path):
+    out = tmp_path / "r.csv"
+    failed = _fresh(["analyze", "--samples", str(samples), "--target", "uniform",
+                     "--schedule", str(workspace["schedule"]), "--quantize-deg", "5e-324",
+                     "--out", str(out)])
+    assert failed.returncode == 1
+    assert failed.stderr == (
+        "error: resolution 5e-324 is too fine: a plate angle's step count overflows\n"
+    )
+    assert not out.exists()
+
+
 def test_one_parser_serves_successive_calls(tmp_path, capsys):
     # each later call sets options the earlier ones left at their defaults, and
     # the reverse, so a value kept from one parse would change an artifact
