@@ -39,7 +39,6 @@ from .training import (
     loss_gradient,
     mse_loss,
     train,
-    train_multi_start,
 )
 from .walk import (
     NAMED_COIN_VECTORS,
@@ -98,7 +97,6 @@ __all__ = [
     "support_positions",
     "target_from_spec",
     "train",
-    "train_multi_start",
     "uniform_target",
     "unpack_bits",
 ]

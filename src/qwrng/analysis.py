@@ -4,9 +4,10 @@ Wave-plate quantization rounds a ratio's plate angle to whole resolution
 steps, k = round(degrees(arccos(sqrt(r))) / 2 / resolution), and maps k back
 through r = cos^2(2 k resolution).  :func:`quantize_ratio` is that rule for
 one ratio, and the reference; :func:`quantize_schedule` applies it to a whole
-schedule with array code, to the same bytes.  :func:`robustness_sweep` walks
-the noisy schedules of one magnitude together, in batches of bounded memory,
-and scores each batch's rows in one reduction.
+schedule with array code, to the same bytes, and hands a count that overflows
+a float to the scalar rule as inf.  :func:`robustness_sweep` walks the noisy
+schedules of one magnitude together, in batches of bounded memory, and scores
+each batch's rows in one reduction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .training import _check_same_support
+from .training import _check_same_support, _fidelity
 from .walk import CoinSchedule, Distribution, WalkState, _forward, _triangle
 
 #: Wave-plate resolution (degrees) of the modeled hardware; a half-wave
@@ -139,7 +140,9 @@ def quantize_ratio(ratio: float, hwp_resolution_deg: float = DEFAULT_HWP_RESOLUT
     resolution and mapped back through r = cos^2(2*phi).
     """
     _check_resolution(hwp_resolution_deg)
-    theta_deg = math.degrees(math.acos(min(1.0, math.sqrt(ratio))))
+    if not (0.0 <= ratio <= 1.0):
+        raise ValueError(f"coin bias ratio must lie in [0, 1], got {ratio}")
+    theta_deg = math.degrees(math.acos(math.sqrt(ratio)))
     plate_steps = (theta_deg / 2.0) / hwp_resolution_deg
     if plate_steps == math.inf:
         raise ValueError(
@@ -156,18 +159,16 @@ def quantize_schedule(
     Bit for bit :func:`quantize_ratio` on each ratio.  The plate-step counts
     x are found for all ratios at once; numpy's arccos can differ from
     ``math.acos`` in the last ulp, which matters only where x rounds the
-    other way, so a count within a relative 1e-12 of a half step (or too
-    large to hold a fraction) is left to :func:`quantize_ratio`.  Each
-    distinct rounded count is mapped back once, by the scalar formula.
+    other way, so a count within a relative 1e-12 of a half step, or too
+    large to hold a fraction, is left to :func:`quantize_ratio`.  A count
+    that overflows comes to that guard as inf, and the scalar rule names
+    the resolution.  Each distinct rounded count is mapped back once, by
+    the scalar formula.
     """
     _check_resolution(hwp_resolution_deg)
     ratios = schedule.values
-    if 45.0 / hwp_resolution_deg == math.inf:
-        # a grid so fine that a step count can overflow: the scalar rule
-        # names the resolution, or quantizes a ratio of 1
-        return schedule.with_array([quantize_ratio(r, hwp_resolution_deg) for r in ratios.tolist()])
-    # schedule ratios lie in [0, 1], so sqrt(r) needs no min(1, ...) here
-    x = np.degrees(np.arccos(np.sqrt(ratios))) / 2.0 / hwp_resolution_deg
+    with np.errstate(over="ignore"):  # a grid too fine for a float: x = inf
+        x = np.degrees(np.arccos(np.sqrt(ratios))) / 2.0 / hwp_resolution_deg
     # the window is wider than half a step from x = 5e11 up, so it also
     # takes in every x of 2**53 or more, which holds no fraction to round
     near = (np.abs(np.modf(x)[0] - 0.5) <= _TIE_RTOL * x).nonzero()[0]
@@ -233,11 +234,8 @@ def robustness_sweep(
                 for t in range(first, min(first + rows, trials))
             ])
             _, probs = _forward(np.clip(base + offsets, 0.0, 1.0), schedule.steps, initial)
-            # training's fidelity, row by row: summed along C-contiguous rows,
-            # each sum keeps the pairwise order of its walk alone
-            y = np.ascontiguousarray(probs)
-            overlap = np.add.reduce(y * goal, axis=1)
-            spread = np.add.reduce(np.square(np.maximum(y, goal)), axis=1)
-            fids[first : first + len(y)] = overlap / spread
+            # one fidelity per row, summed along C-contiguous rows: each sum
+            # keeps the pairwise order of its walk alone
+            fids[first : first + len(probs)] = _fidelity(np.ascontiguousarray(probs), goal)
         points.append((d, float(fids.mean()), float(fids.min())))
     return RobustnessCurve(points=points)

@@ -12,7 +12,6 @@ update, clipped to [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +29,8 @@ def _mse(p: np.ndarray, t: np.ndarray) -> float:
     return 0.5 * float(np.add.reduce(np.square(t - p)))
 
 
-def _fidelity(y: np.ndarray, t: np.ndarray) -> float:
-    return float(np.add.reduce(y * t)) / float(np.add.reduce(np.square(np.maximum(y, t))))
+def _fidelity(y: np.ndarray, t: np.ndarray) -> np.ndarray | np.float64:
+    return np.add.reduce(y * t, -1) / np.add.reduce(np.square(np.maximum(y, t)), -1)
 
 
 def mse_loss(output: Distribution, target: Distribution) -> float:
@@ -47,7 +46,7 @@ def fidelity(y: Distribution, target: Distribution) -> float:
     masses never overlap.  Symmetric in its arguments.
     """
     _check_same_support(y, target)
-    return _fidelity(y.values, target.values)
+    return float(_fidelity(y.values, target.values))
 
 
 def loss_gradient(schedule: CoinSchedule, initial: WalkState, target: Distribution) -> np.ndarray:
@@ -136,7 +135,7 @@ def train(
     k = 0
     while True:
         forward, probs = _forward(ratios, steps, initial)
-        loss, fid = _mse(probs, goal), _fidelity(probs, goal)
+        loss, fid = _mse(probs, goal), float(_fidelity(probs, goal))
         trace.append((k, loss, fid))
         converged = fid >= config.fidelity_goal or loss <= config.loss_tol
         if converged or k == config.max_iters:
@@ -146,22 +145,3 @@ def train(
         k += 1
     schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)
     return TrainReport(trace, schedule, converged, output)
-
-
-def train_multi_start(
-    initial: WalkState,
-    target: Distribution,
-    config: TrainConfig,
-    seeds: Sequence[int],
-) -> TrainReport:
-    """Train once from ``CoinSchedule.random(target.steps, seed)`` per seed
-    and keep the best report.
-
-    Selection is by final fidelity; ties go to the earliest seed in sorted
-    order, so the result does not depend on evaluation order.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    starts = (CoinSchedule.random(target.steps, seed) for seed in sorted(set(map(int, seeds))))
-    reports = (train(initial, target, config, start) for start in starts)
-    return max(reports, key=lambda report: report.final_fidelity)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -185,14 +186,26 @@ class TestQuantize:
             assert str(err.value) == message
 
     def test_grid_too_fine_for_a_float_names_the_resolution(self):
-        # 45 degrees of plate angle over 5e-324 degree steps overflows a float
-        with pytest.raises(ValueError, match=r"resolution 5e-324 is too fine"):
-            quantize_ratio(0.0, 5e-324)
-        with pytest.raises(ValueError, match=r"resolution 5e-324 is too fine"):
-            quantize_schedule(CoinSchedule.random(4, 1), 5e-324)
-        # a ratio of 1 is zero steps from the origin at every resolution
-        assert quantize_ratio(1.0, 5e-324) == 1.0
-        assert quantize_schedule(CoinSchedule.constant(3, 1.0), 5e-324).values.tolist() == [1.0] * 6
+        # 45 degrees of plate angle (a ratio of 0) over these steps overflows
+        # a float; the last is the coarsest such grid
+        for res in (5e-324, 1e-310, math.nextafter(2.503208090820602e-307, 0.0)):
+            message = re.escape(f"resolution {res!r} is too fine")
+            with pytest.raises(ValueError, match=message):
+                quantize_ratio(0.0, res)
+            with pytest.raises(ValueError, match=message):
+                quantize_schedule(CoinSchedule(2, [0.3, 0.0, 0.7]), res)
+            # a ratio of 1 is zero steps from the origin at every resolution
+            assert quantize_ratio(1.0, res) == 1.0
+            assert quantize_schedule(CoinSchedule.constant(3, 1.0), res).values.tolist() == [1.0] * 6
+
+    def test_ratio_outside_the_unit_interval_rejected(self):
+        for ratio in (math.nan, math.inf, 2.0, -0.5):
+            with pytest.raises(ValueError) as err:
+                quantize_ratio(ratio)
+            assert str(err.value) == f"coin bias ratio must lie in [0, 1], got {ratio}"
+        # the ends, with either sign of zero, stay valid
+        assert quantize_ratio(-0.0) == quantize_ratio(0) == quantize_ratio(0.0)
+        assert quantize_ratio(1) == 1.0
 
     def test_schedule_quantization_is_elementwise(self):
         rng = np.random.default_rng(3)

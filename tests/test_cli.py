@@ -778,6 +778,17 @@ def test_failing_run_shows_no_warning_before_its_error_line(workspace, tmp_path)
     assert _read_report(tmp_path / "r.csv")["samples"] == "2"
 
 
+def test_report_that_cannot_be_written_shows_no_warning(tmp_path):
+    # the chi-square warns about two samples over five sites, then the write fails
+    samples = tmp_path / "two.txt"
+    samples.write_text("0\n4\n")
+    out = tmp_path / "missing" / "r.csv"
+    failed = _fresh(["analyze", "--samples", str(samples), "--target", "uniform",
+                     "--steps", "4", "--out", str(out)])
+    assert failed.returncode == 1
+    assert failed.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_huge_custom_coin_vector_fails_with_one_error_line(workspace, tmp_path):
     out = tmp_path / "d.csv"
     argv = ["simulate", "--schedule", str(workspace["schedule"]), "--out", str(out)]

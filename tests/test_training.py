@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from qwrng import (
     mse_loss,
     run_walk,
     train,
-    train_multi_start,
     uniform_target,
 )
 from qwrng.oracle import fd_gradient
@@ -263,25 +261,3 @@ class TestTrain:
         assert report.converged
         assert len(report.iterations) == 1
 
-
-class TestMultiStart:
-    def test_picks_best_seed_and_ignores_order(self, circ_left, uniform4):
-        cfg = TrainConfig(max_iters=30, fidelity_goal=1.0)
-        seeds = [3, 1, 8]
-        a = train_multi_start(circ_left, uniform4, cfg, seeds)
-        b = train_multi_start(circ_left, uniform4, cfg, list(reversed(seeds)))
-        assert a.iterations == b.iterations
-        singles = [train(circ_left, uniform4, cfg, CoinSchedule.random(4, s)) for s in seeds]
-        assert a.final_fidelity == max(r.final_fidelity for r in singles)
-
-    def test_ties_go_to_the_earliest_sorted_seed(self, circ_left, uniform4, monkeypatch):
-        def equally_good(initial, target, config, start):
-            return SimpleNamespace(final_fidelity=0.5, start=start)
-
-        monkeypatch.setattr(qwrng.training, "train", equally_good)
-        best = train_multi_start(circ_left, uniform4, TrainConfig(), [7, 3, 9, 3, 5])
-        assert np.array_equal(best.start.values, CoinSchedule.random(4, 3).values)
-
-    def test_empty_seed_list_rejected(self, circ_left, uniform4):
-        with pytest.raises(ValueError, match="seed"):
-            train_multi_start(circ_left, uniform4, TrainConfig(), [])
