@@ -72,7 +72,9 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
     """Pearson chi-square test of observed counts against a target.
 
     ``counts`` holds one count per site of the target support, in site order
-    (as :func:`qwrng.counts_by_position` returns them).  The p-value is the
+    (as :func:`qwrng.counts_by_position` returns them).  A site the target
+    never reaches adds no term and no degree of freedom: dof is the number of
+    sites with a non-zero expected count, less one.  The p-value is the
     regularized upper incomplete gamma function at (dof/2, statistic/2).
     """
     sites = target.steps + 1
@@ -87,7 +89,7 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
     if total < 1:
         raise ValueError("chi-square test needs at least one observation")
     # summed term by term in site order over Python floats, so reports keep their bytes
-    statistic = 0.0
+    statistic, dof = 0.0, -1
     for j, (o, p) in enumerate(zip(observed.tolist(), target.values.tolist())):
         expected = total * p
         if expected == 0.0:
@@ -96,8 +98,9 @@ def chi_square_test(counts: np.ndarray, target: Distribution) -> ChiSquareReport
                 raise ValueError(f"position {m} has zero expected count but {o} observations")
             continue
         statistic += (o - expected) ** 2 / expected
-    dof = target.steps
-    p_value = chi_square_p_value(float(statistic), dof)  # a one-site target fails here
+        dof += 1
+    # a target with one possible outcome fails here
+    p_value = chi_square_p_value(float(statistic), dof)
     if total < 5 * sites:  # only once every check has passed: a rejected count shows its error alone
         warnings.warn(
             f"only {total} observations over {sites} sites;"

@@ -6,7 +6,12 @@ probabilities, so its gradient by the coin bias ratios is the adjoint sweep
 
 :func:`train` keeps the ratios as one flat array: each iteration is one
 forward pass with loss, fidelity and stop check, then the sweep and the
-update, clipped to [0, 1].
+update, clipped to [0, 1].  The residual is formed once per iteration, for
+the loss and the sweep.  A walk of at most
+:data:`qwrng.walk.FLOAT_PASS_MAX_STEPS` steps runs its pass and sweep on
+Python floats, where numpy's fixed cost per call would dominate, and a
+longer one on arrays; both give the same bytes, and only ``walk.py`` knows
+which ran.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ def _check_same_support(y, target: Distribution) -> None:
         )
 
 
-def _mse(p: np.ndarray, t: np.ndarray) -> float:
-    return 0.5 * float(np.add.reduce(np.square(t - p)))
+def _mse(residual: np.ndarray) -> float:
+    return 0.5 * float(np.add.reduce(np.square(residual)))
 
 
 def _fidelity(y: np.ndarray, t: np.ndarray) -> np.ndarray | np.float64:
@@ -36,7 +41,7 @@ def _fidelity(y: np.ndarray, t: np.ndarray) -> np.ndarray | np.float64:
 def mse_loss(output: Distribution, target: Distribution) -> float:
     """Half the summed squared probability error; zero iff the two agree."""
     _check_same_support(output, target)
-    return _mse(output.values, target.values)
+    return _mse(output.values - target.values)
 
 
 def fidelity(y: Distribution, target: Distribution) -> float:
@@ -135,12 +140,13 @@ def train(
     k = 0
     while True:
         forward, probs = _forward(ratios, steps, initial)
-        loss, fid = _mse(probs, goal), float(_fidelity(probs, goal))
+        residual = probs - goal
+        loss, fid = _mse(residual), float(_fidelity(probs, goal))
         trace.append((k, loss, fid))
         converged = fid >= config.fidelity_goal or loss <= config.loss_tol
         if converged or k == config.max_iters:
             break
-        step = config.eta * _gradient(forward, probs - goal)
+        step = config.eta * _gradient(forward, residual)
         ratios = (ratios - step).clip(0.0, 1.0)
         k += 1
     schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)

@@ -26,6 +26,30 @@ where their results land.  A stack of schedules (ratio arrays of shape
 ``(..., count)``) is walked at once, and every row evolves exactly as it
 would alone.  The adjoint sweep :func:`_gradient` transposes one pass: it
 returns ``J^T v`` for a cotangent ``v`` over the pass's probabilities.
+
+That array pass makes six ufunc calls per step, on blocks of ``t`` rows, so
+for a short walk its time is numpy's fixed cost per call, not arithmetic.
+One unbatched walk of at most :data:`FLOAT_PASS_MAX_STEPS` steps therefore
+runs a second implementation, the float pass: the same rows in the same
+order, held in Python lists, with the array pass's float operations in its
+order.  CPython rounds each operation on its own, so both passes give the
+same bytes, and tests hold them to that.  Forward pass plus adjoint sweep
+per call (best of 15 to 40 interleaved rounds, 2-core VM):
+
+=====  ==========  ==========  =====
+n      array pass  float pass  ratio
+=====  ==========  ==========  =====
+4      72 us       28 us       0.38
+8      106 us      66 us       0.62
+12     143 us      127 us      0.89
+13     155 us      146 us      0.94
+14     166 us      169 us      1.02
+16     185 us      209 us      1.13
+24     262 us      441 us      1.70
+=====  ==========  ==========  =====
+
+The constant is that crossover.  Batched walks, longer walks and
+:func:`run_walk`, whose caller reads the rows, take the array pass.
 """
 
 from __future__ import annotations
@@ -54,6 +78,10 @@ NAMED_COIN_VECTORS: dict[str, tuple[complex, complex]] = {
     "circ-left": (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)),
     "circ-right": (1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)),
 }
+
+#: Longest walk that :func:`_forward` runs on Python floats: the measured
+#: crossover between the float and the array pass (see the module docstring).
+FLOAT_PASS_MAX_STEPS = 13
 
 _TWO_PI = 2.0 * math.pi
 
@@ -241,9 +269,26 @@ def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.add.reduce(left * left, -1) + np.add.reduce(right * right, -1)
 
 
+def _check_origin(initial: WalkState) -> None:
+    if initial.step != 0 or initial.positions() != [0]:
+        raise ValueError("the walk requires a step-0 state located at the origin")
+
+
 def _forward(values: np.ndarray, steps: int, initial: WalkState):
-    """Walk ratio arrays from the origin; return ``(sqrt(r), sqrt(1-r), L, R)``
-    and the output probabilities.
+    """Walk ratio arrays from the origin; return a forward pass, which only
+    :func:`_gradient` reads, and the output probabilities.
+
+    One walk of at most :data:`FLOAT_PASS_MAX_STEPS` steps takes the float
+    pass, any other call the array pass.  Both give the same bytes.
+    """
+    if values.ndim == 1 and steps <= FLOAT_PASS_MAX_STEPS:
+        return _forward_floats(values, steps, initial)
+    return _forward_rows(values, steps, initial)
+
+
+def _forward_rows(values: np.ndarray, steps: int, initial: WalkState):
+    """The array pass: walk ratio arrays from the origin; return
+    ``(sqrt(r), sqrt(1-r), L, R)`` and the output probabilities.
 
     ``values`` has shape ``(..., count)``: leading axes are batch axes, one
     walk per flat ratio array, each bit-identical to its walk alone.  The
@@ -254,8 +299,7 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
     reads ``t`` rows and writes them ``t`` rows further on, R one row
     further still.  The probabilities have shape ``(..., steps + 1)``.
     """
-    if initial.step != 0 or initial.positions() != [0]:
-        raise ValueError("the walk requires a step-0 state located at the origin")
+    _check_origin(initial)
     *batch, count = values.shape
     coin = np.empty((2, count, *batch, 2))
     coin[0] = values.transpose(len(batch), *range(len(batch)))[..., None]
@@ -275,6 +319,32 @@ def _forward(values: np.ndarray, steps: int, initial: WalkState):
     return (a, b, left, right), probs.transpose(*range(1, len(batch) + 1), 0)
 
 
+def _forward_floats(values: np.ndarray, steps: int, initial: WalkState):
+    """The float pass: one walk, on Python floats in the array pass's row
+    order; return ``(sqrt(r), sqrt(1-r), rows)`` and the output probabilities.
+
+    ``rows`` holds four lists of one float per slot: the real and imaginary
+    parts of L, then those of R.  Each float comes from the array pass's
+    operations in its order, and CPython rounds every operation on its own
+    (it fuses no multiply-add), so the bytes are the array pass's.
+    """
+    _check_origin(initial)
+    ratios = values.tolist()
+    a, b = [math.sqrt(r) for r in ratios], [math.sqrt(1.0 - r) for r in ratios]
+    lr, li, rr, ri = rows = [[0.0] * _triangle(steps + 1) for _ in range(4)]
+    (lr[0], li[0]), (rr[0], ri[0]) = initial.left.tolist()[0], initial.right.tolist()[0]
+    start = 0
+    for t in range(1, steps + 1):
+        end = start + t
+        for k in range(start, end):
+            x, y, p, q, u, v = a[k], b[k], lr[k], li[k], rr[k], ri[k]
+            lr[k + t], li[k + t] = x * p + y * u, x * q + y * v
+            rr[k + t + 1], ri[k + t + 1] = y * p - x * u, y * q - x * v
+        start = end
+    final = zip(lr[start:], li[start:], rr[start:], ri[start:])
+    return (a, b, rows), np.array([(p * p + q * q) + (u * u + v * v) for p, q, u, v in final])
+
+
 @lru_cache(maxsize=8)
 def _after_coin(steps: int) -> np.ndarray:
     """Rows ``k + t`` and ``slots + k + t + 1`` for entry ``k`` of step ``t``:
@@ -289,13 +359,23 @@ def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
     """Adjoint sweep over one unbatched forward pass: ``J^T v`` in schedule
     order, ``v`` being a ``cotangent`` over the output probabilities.
 
+    The sweep is of the pass's kind: a float pass keeps its roots in lists.
+    At r = 0 (1) the unbounded slope of sqrt(r) (sqrt(1-r)) is replaced by
+    0, so a ratio clamped onto the boundary keeps a finite gradient.
+    """
+    if isinstance(forward[0], list):
+        return _gradient_floats(forward, cotangent)
+    return _gradient_rows(forward, cotangent)
+
+
+def _gradient_rows(forward, cotangent: np.ndarray) -> np.ndarray:
+    """The array pass's adjoint sweep.
+
     It runs the pass's steps backwards over slot-major adjoint buffers of the
     pass's shape ``(slots, 2)``, stacked in one array: each step back reads
     the rows the forward step wrote and applies the (symmetric) coin, as the
     forward step does.  The rows after every coin are then gathered once and
-    the real and imaginary parts summed.  At r = 0 (1) the unbounded slope
-    of sqrt(r) (sqrt(1-r)) is replaced by 0, so a ratio clamped onto the
-    boundary keeps a finite gradient.
+    the real and imaginary parts summed.
     """
     a, b, left, right = forward
     count, steps = len(a), cotangent.size - 1
@@ -317,9 +397,37 @@ def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
     return parts[:, 0] + parts[:, 1] + 0.0  # add.reduce's bytes: two -0.0 parts sum to +0.0
 
 
+def _gradient_floats(forward, cotangent: np.ndarray) -> np.ndarray:
+    """The float pass's adjoint sweep: :func:`_gradient_rows`' operations in
+    its order, with each ratio scored as soon as its step back has read the
+    adjoint after its coin."""
+    a, b, (lr, li, rr, ri) = forward
+    count, steps = len(a), cotangent.size - 1
+    d_sr = [0.5 / x if x > 0.0 else 0.0 for x in a]
+    d_sq = [-0.5 / y if y > 0.0 else 0.0 for y in b]
+    seeds, pad = [2.0 * c for c in cotangent.tolist()], [0.0] * count
+    adj_lr, adj_li, adj_rr, adj_ri = (
+        pad + [c * x for c, x in zip(seeds, part[count:])] for part in (lr, li, rr, ri)
+    )
+    grad, end = pad.copy(), count
+    for t in range(steps, 0, -1):
+        start = end - t
+        for k in range(start, end):
+            x, y, dx, dy = a[k], b[k], d_sr[k], d_sq[k]
+            l, m, r, n = adj_lr[k + t], adj_li[k + t], adj_rr[k + t + 1], adj_ri[k + t + 1]
+            adj_lr[k], adj_li[k] = x * l + y * r, x * m + y * n
+            adj_rr[k], adj_ri[k] = y * l - x * r, y * m - x * n
+            p, s, q, w = lr[k], li[k], rr[k], ri[k]
+            real = dx * (l * p - r * q) + dy * (l * q + r * p)
+            imag = dx * (m * s - n * w) + dy * (m * w + n * s)
+            grad[k] = real + imag + 0.0  # the + 0.0 of _gradient_rows
+        end = start
+    return np.array(grad)
+
+
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:
     """Evolve an origin-start state through every step of a schedule."""
-    (_, _, left, right), _ = _forward(schedule.values, schedule.steps, initial)
+    (_, _, left, right), _ = _forward_rows(schedule.values, schedule.steps, initial)
     final = schedule.values.size
     return WalkState(schedule.steps, (left[final:], right[final:]))
 

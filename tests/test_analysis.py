@@ -13,8 +13,11 @@ from qwrng import (
     NAMED_COIN_VECTORS,
     CoinSchedule,
     Distribution,
+    build_sampler,
     chi_square_p_value,
     chi_square_test,
+    counts_by_position,
+    draw,
     entropy_report,
     fidelity,
     initial_state,
@@ -85,9 +88,27 @@ class TestChiSquareTest:
             chi_square_test(np.array([50, 1]), target)
 
     def test_zero_expected_without_observations_is_fine(self):
-        target = Distribution(1, [1.0, 0.0])
-        report = chi_square_test(np.array([50, 0]), target)
-        assert report.statistic == 0.0
+        target = Distribution(2, [0.5, 0.5, 0.0])
+        report = chi_square_test(np.array([25, 25, 0]), target)
+        assert (report.statistic, report.dof, report.p_value) == (0.0, 1, 1.0)
+
+    def test_one_possible_outcome_leaves_no_degree_of_freedom(self):
+        with pytest.raises(ValueError, match="degrees of freedom must be positive, got 0"):
+            chi_square_test(np.array([0, 50, 0]), Distribution(2, [0.0, 1.0, 0.0]))
+
+    def test_p_values_are_uniform_on_a_target_with_unreachable_sites(self):
+        # streams sampled from the target itself, so the null hypothesis
+        # holds; counting the two unreachable sites as degrees of freedom
+        # pushes the p-values towards 1 (KS p 1.8e-56, 1.25 % below 0.05)
+        stats = pytest.importorskip("scipy.stats")
+        target = Distribution(4, [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0])
+        p_values = []
+        for seed in range(400):
+            outcomes = draw(build_sampler(target, seed), 10_000).outcomes
+            p_values.append(chi_square_test(counts_by_position(outcomes, 4), target).p_value)
+        p_values = np.array(p_values)
+        assert stats.kstest(p_values, "uniform").pvalue > 1e-3
+        assert 0.025 <= np.mean(p_values < 0.05) <= 0.075
 
     def test_small_sample_warns(self):
         with pytest.warns(UserWarning, match="observations"):

@@ -798,19 +798,30 @@ def test_huge_custom_coin_vector_fails_with_one_error_line(workspace, tmp_path):
     assert not out.exists()
 
 
-def test_one_site_target_fails_with_one_error_line(tmp_path):
-    # a walk of no steps leaves the chi-square no degree of freedom, an error
-    # that its small-sample warning must not precede
+def _analyze_one_outcome(tmp_path, steps: int, rows: str, index: int):
     schedule, target, samples = tmp_path / "z.sched", tmp_path / "t.csv", tmp_path / "s.txt"
-    schedule.write_text("steps=0\n")
-    target.write_text("position,probability\n0,1\n")
-    samples.write_text("0\n0\n")
+    schedule.write_text(f"steps={steps}\n" + "".join(
+        f"{t},{m},0.5\n" for t in range(1, steps + 1) for m in range(1 - t, t, 2)
+    ))
+    target.write_text("position,probability\n" + rows)
+    samples.write_text(f"{index}\n{index}\n")
     out = tmp_path / "r.csv"
     failed = _fresh(["analyze", "--samples", str(samples), "--target", f"file:{target}",
                      "--schedule", str(schedule), "--out", str(out)])
     assert failed.returncode == 1
     assert failed.stderr == "error: degrees of freedom must be positive, got 0\n"
     assert not out.exists()
+
+
+def test_one_site_target_fails_with_one_error_line(tmp_path):
+    # a walk of no steps leaves the chi-square no degree of freedom, an error
+    # that its small-sample warning must not precede
+    _analyze_one_outcome(tmp_path, 0, "0,1\n", 0)
+
+
+def test_one_outcome_target_fails_as_a_one_site_target(tmp_path):
+    # its two unreachable sites add no degree of freedom
+    _analyze_one_outcome(tmp_path, 2, "-2,0\n0,1\n2,0\n", 1)
 
 
 def test_grid_too_fine_for_a_float_is_one_error_line(workspace, samples, tmp_path):

@@ -33,7 +33,7 @@ from qwrng.fileio import (
     trace_to_text,
     write_schedule,
 )
-from qwrng.walk import _forward
+from qwrng.walk import FLOAT_PASS_MAX_STEPS, _forward
 
 
 def _sha(data: str | bytes) -> str:
@@ -186,6 +186,30 @@ JOB_DIGESTS = {
         "d5a40355a7526262f1d2d03e40f60edc99c261369cb873bb6c2121f7953bdbb8",
     ),
 }
+
+#: The same budgeted training on each side of the choice between the float
+#: and the array pass: the longest walk on floats, and one step more.  Both
+#: were computed when every walk ran on arrays.
+BOUNDARY_JOBS = {
+    "n13-float-pass": (
+        ["--steps", "13", "--target", "gaussian:-0.9,2.7", "--init", "rand:23",
+         "--max-iters", "15", "--fidelity-goal", "1.0"],
+        "1b0148291f5efbc15aaa4f5fbbeb669ae655186849999657345ed8aafcf8d745",
+        "9bfb3e207c186951056bf7453053fbf73c7455d72ad5d43763a1a488d18ed3bb",
+    ),
+    "n14-array-pass": (
+        ["--steps", "14", "--target", "gaussian:-0.9,2.7", "--init", "rand:23",
+         "--max-iters", "15", "--fidelity-goal", "1.0"],
+        "b49b6a6065b7977260ecf9a736262e919f4d39ab72bd396cfbabe2d1676a29eb",
+        "99fc726822f0848738c791d0c1ded490d6245bbd76f58f4c1b403fe7ea8e5230",
+    ),
+}
+JOB_DIGESTS.update(BOUNDARY_JOBS)
+
+
+def test_boundary_jobs_straddle_the_pass_choice():
+    steps = sorted(int(args[1]) for args, _, _ in BOUNDARY_JOBS.values())
+    assert steps == [FLOAT_PASS_MAX_STEPS, FLOAT_PASS_MAX_STEPS + 1]
 
 
 @pytest.mark.parametrize("job", sorted(JOB_DIGESTS))

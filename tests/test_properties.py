@@ -1,12 +1,13 @@
 """Generated-input properties: the array walk core against the brute-force
 oracle (the forward walk alone and batched, ratios exactly 0 and 1 included,
 up to the oracle's size cap, batched rows past that cap against their own
-walks, a stack over two batch axes row by row, and the adjoint gradient),
-and the file formats (byte-exact round trips, every bit width, streamed
-sample files against one-piece ones across chunk edges, line-numbered
-diagnostics, the array-speed index codec against the plain line-by-line
-one, the schedule reader against its general path on mutated files, and
-the two ways a mutated bit file may fail)."""
+walks, a stack over two batch axes row by row, the float pass against the
+array pass byte for byte, and the adjoint gradient), and the file formats
+(byte-exact round trips, every bit width, streamed sample files against
+one-piece ones across chunk edges, line-numbered diagnostics, the
+array-speed index codec against the plain line-by-line one, the schedule
+reader against its general path on mutated files, and the two ways a
+mutated bit file may fail)."""
 
 import math
 
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwrng import (
+    NAMED_COIN_VECTORS,
     CoinSchedule,
     Distribution,
     fileio,
@@ -42,7 +44,7 @@ from qwrng.fileio import (
 )
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
 from qwrng.sampling import _CHUNK, ChunkedStream, build_sampler, draw, encode_bits
-from qwrng.walk import _forward
+from qwrng.walk import FLOAT_PASS_MAX_STEPS, _forward, _forward_floats, _forward_rows, _gradient
 from util import PROPERTY
 
 
@@ -93,8 +95,9 @@ def test_batched_walk_rows_equal_their_walks_alone(data, steps, rows, v):
     (_, _, left, right), probs = _forward(values, steps, initial)
     assert probs.shape == (rows, steps + 1)
     for b, row in enumerate(values):
-        (_, _, row_left, row_right), row_probs = _forward(row, steps, initial)
+        (_, _, row_left, row_right), row_probs = _forward_rows(row, steps, initial)
         assert probs[b].tobytes() == row_probs.tobytes()
+        assert _forward(row, steps, initial)[1].tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
         dense = dense_walk(CoinSchedule(steps, row), v).as_array()
@@ -116,8 +119,9 @@ def test_batched_walk_rows_equal_their_walks_alone_past_the_oracle_cap(steps, ro
     (_, _, left, right), probs = _forward(values, steps, initial)
     assert probs.shape == (rows, steps + 1)
     for b, row in enumerate(values):
-        (_, _, row_left, row_right), row_probs = _forward(row, steps, initial)
+        (_, _, row_left, row_right), row_probs = _forward_rows(row, steps, initial)
         assert probs[b].tobytes() == row_probs.tobytes()
+        assert _forward(row, steps, initial)[1].tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
 
@@ -134,10 +138,32 @@ def test_two_batch_axes_keep_their_order(steps, seed, v):
     (_, _, left, right), probs = _forward(values, steps, initial)
     assert probs.shape == (2, 3, steps + 1)
     for i, j in np.ndindex(2, 3):
-        (_, _, row_left, row_right), row_probs = _forward(values[i, j], steps, initial)
+        (_, _, row_left, row_right), row_probs = _forward_rows(values[i, j], steps, initial)
         assert probs[i, j].tobytes() == row_probs.tobytes()
+        assert _forward(values[i, j], steps, initial)[1].tobytes() == row_probs.tobytes()
         assert left[:, i, j].tobytes() == row_left.tobytes()
         assert right[:, i, j].tobytes() == row_right.tobytes()
+
+
+FLOAT_PASS_RATIOS = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+NAMED_OR_GENERATED = st.one_of(
+    st.sampled_from(sorted(NAMED_COIN_VECTORS)).map(NAMED_COIN_VECTORS.get), coin_vectors()
+)
+
+
+@pytest.mark.parametrize("steps", range(1, FLOAT_PASS_MAX_STEPS + 1))
+@settings(PROPERTY, max_examples=25)
+@given(st.data(), NAMED_OR_GENERATED, st.booleans())
+def test_float_pass_equals_the_array_pass_byte_for_byte(steps, data, v, zero_residual):
+    size = steps * (steps + 1) // 2
+    values = np.array(data.draw(st.lists(FLOAT_PASS_RATIOS, min_size=size, max_size=size)))
+    initial = initial_state(v)
+    floats, probs = _forward_floats(values, steps, initial)
+    rows, row_probs = _forward_rows(values, steps, initial)
+    assert probs.tobytes() == row_probs.tobytes()
+    goal = probs if zero_residual else data.draw(distributions(steps)).values
+    grad, row_grad = _gradient(floats, probs - goal), _gradient(rows, row_probs - goal)
+    assert grad.dtype == row_grad.dtype and grad.tobytes() == row_grad.tobytes()
 
 
 @PROPERTY

@@ -17,7 +17,7 @@ from qwrng import (
 )
 from qwrng.fileio import schedule_from_text
 from qwrng.oracle import dense_walk
-from qwrng.walk import schedule_keys
+from qwrng.walk import FLOAT_PASS_MAX_STEPS, _forward, schedule_keys
 
 from util import random_coin_vector, random_schedule
 
@@ -225,6 +225,33 @@ class TestRunWalk:
         shifted = one_step((1.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="origin"):
             run_walk(shifted, CoinSchedule.constant(2, 0.5))
+
+
+class TestPassChoice:
+    """One walk of at most FLOAT_PASS_MAX_STEPS steps runs on Python floats,
+    which keep their roots in lists; longer and batched walks on arrays."""
+
+    @staticmethod
+    def _roots(shape, steps, initial):
+        (roots, *_), _ = _forward(np.full(shape, 0.5), steps, initial)
+        return roots
+
+    @pytest.mark.parametrize("steps", [0, 1, FLOAT_PASS_MAX_STEPS])
+    def test_one_short_walk_runs_on_floats_and_a_batch_on_arrays(self, circ_left, steps):
+        size = steps * (steps + 1) // 2
+        assert isinstance(self._roots(size, steps, circ_left), list)
+        assert isinstance(self._roots((1, size), steps, circ_left), np.ndarray)
+
+    def test_a_longer_walk_runs_on_arrays(self, circ_left):
+        steps = FLOAT_PASS_MAX_STEPS + 1
+        roots = self._roots(steps * (steps + 1) // 2, steps, circ_left)
+        assert isinstance(roots, np.ndarray)
+
+    @pytest.mark.parametrize("steps", [2, FLOAT_PASS_MAX_STEPS + 1])
+    def test_both_passes_require_an_origin_start(self, steps):
+        shifted = one_step((1.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="origin"):
+            _forward(np.full(steps * (steps + 1) // 2, 0.5), steps, shifted)
 
 
 class TestMeasure:
