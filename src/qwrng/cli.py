@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import warnings
 
@@ -87,12 +88,26 @@ def _parse_init(text: str, steps: int) -> CoinSchedule:
     raise ValueError(f"unknown init spec {text!r} (use const:R0 or rand:SEED)")
 
 
+def _file_target(spec: str) -> str | None:
+    return spec[len("file:"):] if spec.startswith("file:") else None
+
+
+def _check_inputs_kept(outputs: list[str], *inputs: str | None) -> None:
+    """Refuse an output that names an existing input, before anything is read
+    or drawn: writing it would replace the file that the command reads."""
+    for path in inputs:
+        if path is not None and os.path.exists(path):
+            for out in outputs:
+                fileio.check_distinct(path, out)
+
+
 def _output(schedule: CoinSchedule, coin_vector: tuple[complex, complex]) -> Distribution:
     """Output distribution of ``schedule`` walked from ``coin_vector``."""
     return measure(run_walk(initial_state(coin_vector), schedule))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_inputs_kept([args.out, args.log], _file_target(args.target))
     target = target_from_spec(args.target, args.steps)
     start = _parse_init(args.init, target.steps)
     config = TrainConfig(eta=args.eta, max_iters=args.max_iters, fidelity_goal=args.fidelity_goal)
@@ -105,22 +120,26 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_inputs_kept([args.out], args.schedule)
     schedule = fileio.read_schedule(args.schedule)
     fileio.write_distribution(_output(schedule, _parse_coin_vector(args.initial)), args.out)
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    bits = args.format == "bits"
+    _check_inputs_kept([args.out, f"{args.out}.meta"] if bits else [args.out], args.schedule)
     schedule = fileio.read_schedule(args.schedule)
     sampler = build_sampler(_output(schedule, _parse_coin_vector(args.initial)), args.seed)
     # drawn chunk by chunk while the file is written, so memory does not grow with --count
     stream = ChunkedStream(sampler, args.count)
-    write = fileio.write_indices if args.format == "indices" else fileio.write_bits
+    write = fileio.write_bits if bits else fileio.write_indices
     write(stream, args.out)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_inputs_kept([args.out], args.samples, args.schedule, _file_target(args.target))
     if args.quantize_deg is not None and args.schedule is None:
         raise ValueError("--quantize-deg needs --schedule")
 

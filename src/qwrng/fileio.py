@@ -16,9 +16,9 @@ refused: replacing it would break whatever reads it.
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, and rows are emitted in a fixed sort order, so writing the
 same object twice produces byte-identical files.  A schedule file is written
-by filling one template per walk length, and text in exactly that layout is
-read without converting its keys; any other layout (rows in another order,
-CRLF, blank lines, ``−``) goes to the general reader, with its diagnostics.
+by filling one template per walk length, and its lines, with any line ends,
+are read without converting their keys; any other text (rows in another
+order, blank lines, ``−``) goes to the general reader, with its diagnostics.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import sampling
-from .walk import CoinSchedule, Distribution, schedule_keys
+from .walk import CoinSchedule, Distribution, _triangle, schedule_keys
 
 #: How far a user-supplied target may deviate from unit mass before it is
 #: rejected instead of renormalized.
@@ -68,12 +68,8 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     if (staged := _staged.get()) is None:
         with all_or_none():
             return _write(path, data, at_least)
-    name = os.path.basename(path)
     for _, done in staged:
-        # only writes with one last component share a temporary file and a
-        # rename target: a symlink there is replaced, not written through
-        if os.path.basename(done) == name and os.path.realpath(done) == os.path.realpath(path):
-            raise ValueError(f"{done} and {path} name the same file")
+        check_distinct(done, path)
     _check_regular(path)
     if at_least:
         free = shutil.disk_usage(Path(path).parent).free
@@ -83,6 +79,15 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     with _removed_on_error(tmp, path), open(tmp, "wb") as fh:
         fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
     staged.append((tmp, path))
+
+
+def check_distinct(first: str | Path, second: str | Path) -> None:
+    """Refuse two paths that name one file: the same last component and the
+    same real path.  Only such paths share a rename target; a symlink as the
+    last component is replaced, not written through."""
+    same_name = os.path.basename(first) == os.path.basename(second)
+    if same_name and os.path.realpath(first) == os.path.realpath(second):
+        raise ValueError(f"{first} and {second} name the same file")
 
 
 @contextlib.contextmanager
@@ -203,8 +208,6 @@ def _place(
 _STEPS_RE = re.compile(r"^steps=(\d+)$")
 #: The header the writer writes; a walk of 10**9 steps has more rows than memory holds.
 _CANONICAL_HEADER_RE = re.compile(r"steps=(0|[1-9][0-9]{0,8})")
-#: Line breaks of ``str.splitlines`` besides ``\n`` that ASCII text can hold.
-_ASCII_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 @functools.lru_cache(maxsize=4)
@@ -220,39 +223,24 @@ def schedule_to_text(schedule: CoinSchedule) -> str:
     return template % tuple(schedule.values.tolist())
 
 
-def _canonical_ratios(steps: int, body: str) -> list[float] | None:
-    """The ratios of ``body``, the rows after the header, when they are laid
-    out exactly as :func:`schedule_to_text` writes them: every row in key
-    order, each ending in ``\n``.  Else None, and nothing of the key text is
-    built unless ``body`` has as many rows as a ``steps``-step walk.
-
-    ASCII without other line breaks splits on ``\n`` into the lines that
-    :func:`_columns` sees, so both readers accept such text alike."""
-    if not body.isascii() or any(map(body.__contains__, _ASCII_BREAKS)):
-        return None
-    rows = body.split("\n")
-    if len(rows) != steps * (steps + 1) // 2 + 1 or rows.pop():
-        return None
-    _, prefixes = _schedule_layout(steps)
-    if not all(map(str.startswith, rows, prefixes)):
-        return None
-    try:  # a comma left in a ratio's text is an extra column: float rejects it
-        return list(map(float, map(str.removeprefix, rows, prefixes)))
-    except ValueError:
-        return None
-
-
 def schedule_from_text(text: str) -> CoinSchedule:
     """Parse a schedule file; its ``step,position,r`` rows may come in any order.
 
-    The text :func:`schedule_to_text` writes is read without a per-cell
-    conversion of its keys; any other text goes to the general reader, which
-    gives it the same result or the same error."""
-    header, _, body = text.partition("\n")
-    if match := _CANONICAL_HEADER_RE.fullmatch(header):
-        steps = int(match[1])
-        if (ratios := _canonical_ratios(steps, body)) is not None:
-            return CoinSchedule(steps, ratios)
+    Text whose lines, split as the general reader splits them, are those that
+    :func:`schedule_to_text` writes is read without a per-cell conversion of
+    its keys; no key text is built unless it has as many rows as its header's
+    walk.  Other text goes to the general reader: the same result or error."""
+    header, *rows = text.splitlines() or [""]
+    match = _CANONICAL_HEADER_RE.fullmatch(header)
+    if match and len(rows) == _triangle(steps := int(match[1])):
+        _, prefixes = _schedule_layout(steps)
+        if all(map(str.startswith, rows, prefixes)):
+            try:  # a comma left in a ratio's text is an extra column: float rejects it
+                ratios = list(map(float, map(str.removeprefix, rows, prefixes)))
+            except ValueError:
+                pass
+            else:
+                return CoinSchedule(steps, ratios)
     return _schedule_from_rows(text)
 
 

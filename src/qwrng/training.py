@@ -2,7 +2,8 @@
 
 The loss is half the summed squared error between the measured and target
 probabilities, so its gradient by the coin bias ratios is the adjoint sweep
-:func:`qwrng.walk._gradient` applied to the residual, output minus target.
+that :func:`qwrng.walk._forward` returns, applied to the residual, output
+minus target.
 
 :func:`train` keeps the ratios as one flat array: each iteration is one
 forward pass with loss, fidelity and stop check, then the sweep and the
@@ -10,8 +11,7 @@ update, clipped to [0, 1].  The residual is formed once per iteration, for
 the loss and the sweep.  A walk of at most
 :data:`qwrng.walk.FLOAT_PASS_MAX_STEPS` steps runs its pass and sweep on
 Python floats, where numpy's fixed cost per call would dominate, and a
-longer one on arrays; both give the same bytes, and only ``walk.py`` knows
-which ran.
+longer one on arrays; both give the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinSchedule, Distribution, WalkState, _forward, _gradient
+from .walk import CoinSchedule, Distribution, WalkState, _forward
 
 
 def _check_same_support(y, target: Distribution) -> None:
@@ -57,8 +57,8 @@ def fidelity(y: Distribution, target: Distribution) -> float:
 def loss_gradient(schedule: CoinSchedule, initial: WalkState, target: Distribution) -> np.ndarray:
     """Exact partial derivatives of the loss, one per ratio in schedule order."""
     _check_same_support(schedule, target)
-    forward, probs = _forward(schedule.values, schedule.steps, initial)
-    return _gradient(forward, probs - target.values)
+    sweep, probs = _forward(schedule.values, schedule.steps, initial)
+    return sweep(probs - target.values)
 
 
 def apply_update(schedule: CoinSchedule, grad: np.ndarray, eta: float) -> CoinSchedule:
@@ -139,14 +139,14 @@ def train(
     trace: list[tuple[int, float, float]] = []
     k = 0
     while True:
-        forward, probs = _forward(ratios, steps, initial)
+        sweep, probs = _forward(ratios, steps, initial)
         residual = probs - goal
         loss, fid = _mse(residual), float(_fidelity(probs, goal))
         trace.append((k, loss, fid))
         converged = fid >= config.fidelity_goal or loss <= config.loss_tol
         if converged or k == config.max_iters:
             break
-        step = config.eta * _gradient(forward, residual)
+        step = config.eta * sweep(residual)
         ratios = (ratios - step).clip(0.0, 1.0)
         k += 1
     schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)

@@ -24,8 +24,8 @@ at shape ``(count, ..., 2)``.  Each step's ufuncs take operands of one
 shape, which skip numpy's broadcasting machinery, and the shift is only
 where their results land.  A stack of schedules (ratio arrays of shape
 ``(..., count)``) is walked at once, and every row evolves exactly as it
-would alone.  The adjoint sweep :func:`_gradient` transposes one pass: it
-returns ``J^T v`` for a cotangent ``v`` over the pass's probabilities.
+would alone.  :func:`_forward` also returns the pass's adjoint sweep, which
+maps a cotangent ``v`` over one walk's probabilities to ``J^T v``.
 
 That array pass makes six ufunc calls per step, on blocks of ``t`` rows, so
 for a short walk its time is numpy's fixed cost per call, not arithmetic.
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -275,15 +275,17 @@ def _check_origin(initial: WalkState) -> None:
 
 
 def _forward(values: np.ndarray, steps: int, initial: WalkState):
-    """Walk ratio arrays from the origin; return a forward pass, which only
-    :func:`_gradient` reads, and the output probabilities.
+    """Walk ratio arrays from the origin; return the adjoint sweep of the
+    pass that ran, for one unbatched walk, and the output probabilities.
 
     One walk of at most :data:`FLOAT_PASS_MAX_STEPS` steps takes the float
     pass, any other call the array pass.  Both give the same bytes.
     """
     if values.ndim == 1 and steps <= FLOAT_PASS_MAX_STEPS:
-        return _forward_floats(values, steps, initial)
-    return _forward_rows(values, steps, initial)
+        buffers, probs = _forward_floats(values, steps, initial)
+        return partial(_gradient_floats, buffers), probs
+    buffers, probs = _forward_rows(values, steps, initial)
+    return partial(_gradient_rows, buffers), probs
 
 
 def _forward_rows(values: np.ndarray, steps: int, initial: WalkState):
@@ -355,21 +357,11 @@ def _after_coin(steps: int) -> np.ndarray:
     return rows
 
 
-def _gradient(forward, cotangent: np.ndarray) -> np.ndarray:
-    """Adjoint sweep over one unbatched forward pass: ``J^T v`` in schedule
-    order, ``v`` being a ``cotangent`` over the output probabilities.
-
-    The sweep is of the pass's kind: a float pass keeps its roots in lists.
-    At r = 0 (1) the unbounded slope of sqrt(r) (sqrt(1-r)) is replaced by
-    0, so a ratio clamped onto the boundary keeps a finite gradient.
-    """
-    if isinstance(forward[0], list):
-        return _gradient_floats(forward, cotangent)
-    return _gradient_rows(forward, cotangent)
-
-
 def _gradient_rows(forward, cotangent: np.ndarray) -> np.ndarray:
-    """The array pass's adjoint sweep.
+    """The array pass's adjoint sweep over one unbatched walk: ``J^T v`` in
+    schedule order for a ``cotangent`` ``v`` over its probabilities.  At r = 0
+    (1) the unbounded slope of sqrt(r) (sqrt(1-r)) is replaced by 0, so a
+    ratio clamped onto the boundary keeps a finite gradient.
 
     It runs the pass's steps backwards over slot-major adjoint buffers of the
     pass's shape ``(slots, 2)``, stacked in one array: each step back reads
@@ -399,8 +391,8 @@ def _gradient_rows(forward, cotangent: np.ndarray) -> np.ndarray:
 
 def _gradient_floats(forward, cotangent: np.ndarray) -> np.ndarray:
     """The float pass's adjoint sweep: :func:`_gradient_rows`' operations in
-    its order, with each ratio scored as soon as its step back has read the
-    adjoint after its coin."""
+    its order, with the same slope of 0 at r = 0 and r = 1, and each ratio
+    scored as soon as its step back has read the adjoint after its coin."""
     a, b, (lr, li, rr, ri) = forward
     count, steps = len(a), cotangent.size - 1
     d_sr = [0.5 / x if x > 0.0 else 0.0 for x in a]

@@ -224,11 +224,13 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_schedule_file_is_io_error(self, tmp_path, capsys):
-        code = main(
-            ["simulate", "--schedule", str(tmp_path / "nope"), "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        # also when the output names it: only an existing input is refused as an output
+        missing = tmp_path / "nope"
+        for out in (tmp_path / "x", missing):
+            assert main(["simulate", "--schedule", str(missing), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestSample:
@@ -626,6 +628,35 @@ def test_a_set_that_names_one_file_twice_is_refused(log, tmp_path, monkeypatch, 
         # no file, or the old one, and no temporary file
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "alias"}
         assert files == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "train --steps 4 --target file:t.csv --max-iters 5 --out t.csv --log log.csv",
+        "train --steps 4 --target file:t.csv --max-iters 5 --out s.sched --log ./t.csv",
+        "simulate --schedule s.sched --out s.sched",
+        "sample --schedule s.sched --count 10 --seed 1 --out ./s.sched",
+        "sample --schedule s.sched.meta --count 10 --seed 1 --format bits --out s.sched",
+        "analyze --samples x.txt --target uniform --steps 4 --out x.txt",
+        "analyze --samples x.txt --target file:t.csv --out t.csv",
+        "analyze --samples x.txt --target uniform --schedule s.sched --out s.sched",
+    ],
+)
+def test_an_output_that_names_an_input_is_refused(argv, workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    schedule = workspace["schedule"].read_bytes()
+    inputs = {
+        "s.sched": schedule, "s.sched.meta": schedule, "x.txt": b"0\n1\n2\n3\n4\n",
+        "t.csv": qwrng.fileio.distribution_to_text(uniform_target(4)).encode(),
+    }
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" name the same file\n"), err
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
 
 #: Peak of the allocations that tracemalloc sees (numpy buffers included)

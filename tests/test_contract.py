@@ -5,8 +5,10 @@ its flags (a sign, 0, nan, inf, 1e308 or a 20-digit integer) and at most
 one of its paths (a missing directory, a directory, a FIFO, a symlink, or a
 file named twice), and runs :func:`qwrng.cli.main` in-process.  Whatever the
 input, the exit code is 0, 1 or 2 and no temporary file is left; on 1,
-stderr is one ``error:`` line that names no temporary file, and every file
-is as it was before the run.
+stderr is one ``error:`` line that names no temporary file, no warning was
+issued, and every file is as it was before the run; on 0 or 2, the only
+warning is analyze's small-sample one, and a rerun leaves every file byte
+for byte as the first run left it.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import io
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,7 +52,8 @@ NUMBERS = {
 }
 INPUTS = {
     "schedule": ("in.sched", schedule_to_text(CoinSchedule.constant(4))),
-    "samples": ("in.txt", "0\n1\n2\n3\n4\n" * 20),
+    # fewer than 5 per site, so analyze warns that its chi-square may be poor
+    "samples": ("in.txt", "0\n1\n2\n3\n4\n" * 4),
     "target": ("in.csv", distribution_to_text(uniform_target(4))),
 }
 OUTPUTS = {"out": "out", "log": "log.csv"}
@@ -142,21 +146,36 @@ def _snapshot(root: Path) -> dict[str, object]:
     return entries
 
 
+def _run(argv: list[str]) -> tuple[int, str, list[warnings.WarningMessage]]:
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, stderr.getvalue(), held
+
+
 @settings(PROPERTY, max_examples=300)
 @example(Plan("train", path="out", kind="missing-dir"))  # an error of open() names the target
 @example(Plan("train", path="log", kind="twice", other="out", old=True))
 @example(Plan("sample-bits", number="count", value=str(10**18), old=True))
+@example(Plan("analyze", path="out", kind="twice", other="samples"))
+@example(Plan("simulate", path="out", kind="twice", other="schedule", old=True))
+@example(Plan("analyze", path="out", kind="missing-dir"))  # the chi-square warns, then fails
 @given(plans())
 def test_every_argv_keeps_the_exit_code_and_file_contract(tmp_path_factory, plan):
     root = tmp_path_factory.mktemp("argv")
     argv = _lay_out(root, plan)
     before = _snapshot(root)
-    with contextlib.redirect_stderr(io.StringIO()) as stderr:
-        code = main(argv)
-    err = stderr.getvalue()
+    code, err, held = _run(argv)
     assert code in (0, 1, 2), (argv, err)
     assert not list(root.rglob("*.tmp")), argv
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
         assert f".{os.getpid()}.tmp" not in err, err
+        assert not held, (argv, [str(w.message) for w in held])
         assert _snapshot(root) == before, (argv, err)
+    else:  # the one warning a run may show, after its report is written
+        assert all("chi-square approximation" in str(w.message) for w in held), argv
+        after = _snapshot(root)
+        assert _run(argv)[0] == code, argv
+        assert _snapshot(root) == after, argv

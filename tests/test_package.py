@@ -126,13 +126,13 @@ def _callee(node: ast.AST) -> str | None:
 
 def test_only_walk_unpacks_a_forward_pass():
     # the slot buffers' layout is walk.py's alone: other modules take the
-    # probabilities and hand the rest, whole, to _gradient
+    # probabilities and only ever call the sweep that comes with them
     for path in sorted(Path(qwrng.__file__).parent.glob("*.py")):
         if path.name == "walk.py":
             continue
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
         calls = {id(n) for n in nodes if _callee(n) == "_forward"}
-        handed = {id(n.args[0]) for n in nodes if _callee(n) == "_gradient" and n.args}
+        called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
         kept = set()
         for node in nodes:
             if isinstance(node, ast.Assign) and id(node.value) in calls:
@@ -145,4 +145,4 @@ def test_only_walk_unpacks_a_forward_pass():
         for node in nodes:
             loaded = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             if loaded and node.id in kept - {"_"}:
-                assert id(node) in handed, f"{path.name}:{node.lineno}: {node.id} looked into"
+                assert id(node) in called, f"{path.name}:{node.lineno}: {node.id} looked into"

@@ -17,7 +17,9 @@ from qwrng import (
 )
 from qwrng.fileio import schedule_from_text
 from qwrng.oracle import dense_walk
-from qwrng.walk import FLOAT_PASS_MAX_STEPS, _forward, schedule_keys
+from qwrng.walk import (
+    FLOAT_PASS_MAX_STEPS, _forward, _gradient_floats, _gradient_rows, schedule_keys,
+)
 
 from util import random_coin_vector, random_schedule
 
@@ -229,23 +231,22 @@ class TestRunWalk:
 
 class TestPassChoice:
     """One walk of at most FLOAT_PASS_MAX_STEPS steps runs on Python floats,
-    which keep their roots in lists; longer and batched walks on arrays."""
+    longer and batched walks on arrays; each pass hands back its own sweep."""
 
     @staticmethod
-    def _roots(shape, steps, initial):
-        (roots, *_), _ = _forward(np.full(shape, 0.5), steps, initial)
-        return roots
+    def _sweep(shape, steps, initial):
+        sweep, _ = _forward(np.full(shape, 0.5), steps, initial)
+        return sweep.func
 
     @pytest.mark.parametrize("steps", [0, 1, FLOAT_PASS_MAX_STEPS])
     def test_one_short_walk_runs_on_floats_and_a_batch_on_arrays(self, circ_left, steps):
         size = steps * (steps + 1) // 2
-        assert isinstance(self._roots(size, steps, circ_left), list)
-        assert isinstance(self._roots((1, size), steps, circ_left), np.ndarray)
+        assert self._sweep(size, steps, circ_left) is _gradient_floats
+        assert self._sweep((1, size), steps, circ_left) is _gradient_rows
 
     def test_a_longer_walk_runs_on_arrays(self, circ_left):
         steps = FLOAT_PASS_MAX_STEPS + 1
-        roots = self._roots(steps * (steps + 1) // 2, steps, circ_left)
-        assert isinstance(roots, np.ndarray)
+        assert self._sweep(steps * (steps + 1) // 2, steps, circ_left) is _gradient_rows
 
     @pytest.mark.parametrize("steps", [2, FLOAT_PASS_MAX_STEPS + 1])
     def test_both_passes_require_an_origin_start(self, steps):
