@@ -98,7 +98,7 @@ def _check_inputs_kept(outputs: list[str], *inputs: str | None) -> None:
     for path in inputs:
         if path is not None and os.path.exists(path):
             for out in outputs:
-                fileio.check_distinct(path, out)
+                fileio.check_kept(path, out)
 
 
 def _output(schedule: CoinSchedule, coin_vector: tuple[complex, complex]) -> Distribution:
@@ -107,6 +107,7 @@ def _output(schedule: CoinSchedule, coin_vector: tuple[complex, complex]) -> Dis
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    fileio.check_distinct(args.out, args.log)  # refused before training, not after it
     _check_inputs_kept([args.out, args.log], _file_target(args.target))
     target = target_from_spec(args.target, args.steps)
     start = _parse_init(args.init, target.steps)

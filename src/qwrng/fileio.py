@@ -82,12 +82,21 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
 
 
 def check_distinct(first: str | Path, second: str | Path) -> None:
-    """Refuse two paths that name one file: the same last component and the
+    """Refuse two outputs that name one file: the same last component and the
     same real path.  Only such paths share a rename target; a symlink as the
     last component is replaced, not written through."""
     same_name = os.path.basename(first) == os.path.basename(second)
     if same_name and os.path.realpath(first) == os.path.realpath(second):
         raise ValueError(f"{first} and {second} name the same file")
+
+
+def check_kept(source: str | Path, out: str | Path) -> None:
+    """Refuse an output whose rename would replace the file read as
+    ``source``: the rename lands on ``out``'s last component in the real
+    directory that holds it, and ``source`` is read through any symlink."""
+    replaced = os.path.join(os.path.realpath(os.path.dirname(out)), os.path.basename(out))
+    if os.path.realpath(source) == replaced:
+        raise ValueError(f"{source} and {out} name the same file")
 
 
 @contextlib.contextmanager

@@ -5,13 +5,21 @@ probabilities, so its gradient by the coin bias ratios is the adjoint sweep
 that :func:`qwrng.walk._forward` returns, applied to the residual, output
 minus target.
 
-:func:`train` keeps the ratios as one flat array: each iteration is one
-forward pass with loss, fidelity and stop check, then the sweep and the
-update, clipped to [0, 1].  The residual is formed once per iteration, for
-the loss and the sweep.  A walk of at most
-:data:`qwrng.walk.FLOAT_PASS_MAX_STEPS` steps runs its pass and sweep on
-Python floats, where numpy's fixed cost per call would dominate, and a
-longer one on arrays; both give the same bytes.
+:func:`train` decides once how it holds the ratios.  Each iteration is one
+forward pass with residual, loss, fidelity and stop check, then the sweep and
+the update, clipped to [0, 1].  A walk of at most
+:data:`qwrng.walk.FLOAT_PASS_MAX_STEPS` steps runs the whole iteration on
+Python floats, where numpy's fixed cost per call would dominate: the ratios,
+probabilities, residual and gradient stay lists, and one schedule and one
+distribution are built at the end.  A longer walk runs it on flat arrays.
+Both give the same bytes, because the float code keeps three of numpy's
+behaviours:
+
+- sums take ``np.add.reduce``'s pairwise order (:func:`_pairwise_sum`), not
+  the sequential one, which differs from 8 terms on;
+- squares are ``x * x``, as ``np.square`` rounds them; CPython's ``x ** 2``
+  rounds some of them one ulp away;
+- the clip keeps a ``-0.0`` ratio, as ``np.clip`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinSchedule, Distribution, WalkState, _forward
+from .walk import CoinSchedule, Distribution, WalkState, _forward, _pass_values
 
 
 def _check_same_support(y, target: Distribution) -> None:
@@ -36,6 +44,55 @@ def _mse(residual: np.ndarray) -> float:
 
 def _fidelity(y: np.ndarray, t: np.ndarray) -> np.ndarray | np.float64:
     return np.add.reduce(y * t, -1) / np.add.reduce(np.square(np.maximum(y, t)), -1)
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """``np.add.reduce`` of at most 128 ``terms`` as a float64 array, bit for
+    bit: numpy's pairwise sum, added to 0.0.  Below 8 terms it adds them in
+    order; from 8 on it keeps 8 accumulators over strides of 8, combines them
+    as a tree and adds the tail in order.  (Past 128 numpy splits the terms
+    in two; the float loop sums at most 14.)"""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for x in terms:
+            total += x
+        return total
+    r = terms[:8]
+    for i in range(8, n - n % 8, 8):
+        r = [x + y for x, y in zip(r, terms[i : i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in terms[n - n % 8 :]:
+        total += x
+    return 0.0 + total
+
+
+def _score_rows(probs: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Residual, loss and fidelity of one walk's probabilities."""
+    residual = probs - goal
+    return residual, _mse(residual), float(_fidelity(probs, goal))
+
+
+def _score_floats(probs: list[float], goal: list[float]) -> tuple[list[float], float, float]:
+    """:func:`_score_rows` on Python floats, bit for bit: numpy's summation
+    order from :func:`_pairwise_sum`, and squares as ``x * x``, since
+    ``x ** 2`` can round one ulp away from ``np.square``."""
+    residual = [p - g for p, g in zip(probs, goal)]
+    overlap = _pairwise_sum([p * g for p, g in zip(probs, goal)])
+    peak = _pairwise_sum([p * p if p >= g else g * g for p, g in zip(probs, goal)])
+    return residual, 0.5 * _pairwise_sum([x * x for x in residual]), overlap / peak
+
+
+def _descend_rows(ratios: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+    return (ratios - eta * grad).clip(0.0, 1.0)
+
+
+def _descend_floats(ratios: list[float], grad: list[float], eta: float) -> list[float]:
+    """:func:`_descend_rows` on Python floats; the clip keeps a ``-0.0`` ratio,
+    as ``np.clip`` does."""
+    return [
+        0.0 if (x := r - eta * g) < 0.0 else 1.0 if x > 1.0 else x for r, g in zip(ratios, grad)
+    ]
 
 
 def mse_loss(output: Distribution, target: Distribution) -> float:
@@ -131,23 +188,25 @@ def train(
     """
     if target.steps < 1:
         raise ValueError("training needs a target over at least one step")
-    steps, goal = target.steps, target.values
+    steps = target.steps
     if start is None:
         start = CoinSchedule.constant(steps)
     _check_same_support(start, target)
-    ratios = start.values
+    ratios = _pass_values(start.values, steps)
+    if isinstance(ratios, list):  # the float pass: every iteration stays on Python floats
+        goal, score, descend = target.values.tolist(), _score_floats, _descend_floats
+    else:
+        goal, score, descend = target.values, _score_rows, _descend_rows
     trace: list[tuple[int, float, float]] = []
     k = 0
     while True:
         sweep, probs = _forward(ratios, steps, initial)
-        residual = probs - goal
-        loss, fid = _mse(residual), float(_fidelity(probs, goal))
+        residual, loss, fid = score(probs, goal)
         trace.append((k, loss, fid))
         converged = fid >= config.fidelity_goal or loss <= config.loss_tol
         if converged or k == config.max_iters:
             break
-        step = config.eta * sweep(residual)
-        ratios = (ratios - step).clip(0.0, 1.0)
+        ratios = descend(ratios, sweep(residual), config.eta)
         k += 1
     schedule, output = CoinSchedule(steps, ratios), Distribution(steps, probs)
     return TrainReport(trace, schedule, converged, output)

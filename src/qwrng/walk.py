@@ -32,24 +32,32 @@ for a short walk its time is numpy's fixed cost per call, not arithmetic.
 One unbatched walk of at most :data:`FLOAT_PASS_MAX_STEPS` steps therefore
 runs a second implementation, the float pass: the same rows in the same
 order, held in Python lists, with the array pass's float operations in its
-order.  CPython rounds each operation on its own, so both passes give the
-same bytes, and tests hold them to that.  Forward pass plus adjoint sweep
-per call (best of 15 to 40 interleaved rounds, 2-core VM):
+order.  CPython rounds each operation on its own (a square is ``x * x``, as
+``np.square`` rounds it, never ``x ** 2``), so both passes give the same
+bytes, and tests hold them to that.  :func:`_forward` takes the float pass
+for a list of ratios and hands back lists, so the trainer keeps its whole
+iteration on floats; :func:`_pass_values` turns a ratio array into the form
+of the pass its length takes.  Forward pass plus adjoint sweep per call
+(best of 25 interleaved rounds, 2-core VM; the ratio over two such runs):
 
-=====  ==========  ==========  =====
+=====  ==========  ==========  =========
 n      array pass  float pass  ratio
-=====  ==========  ==========  =====
-4      72 us       28 us       0.38
-8      106 us      66 us       0.62
-12     143 us      127 us      0.89
-13     155 us      146 us      0.94
-14     166 us      169 us      1.02
-16     185 us      209 us      1.13
-24     262 us      441 us      1.70
-=====  ==========  ==========  =====
+=====  ==========  ==========  =========
+4      72 us       20 us       0.28-0.31
+8      102 us      51 us       0.47-0.50
+12     135 us      91 us       0.61-0.68
+13     172 us      114 us      0.64-0.66
+14     160 us      124 us      0.70-0.78
+16     198 us      170 us      0.79-0.86
+24     250 us      344 us      1.18-1.38
+=====  ==========  ==========  =========
 
-The constant is that crossover.  Batched walks, longer walks and
-:func:`run_walk`, whose caller reads the rows, take the array pass.
+The constant, 13, was the crossover when the float pass came in (1.02 at
+n = 14).  Leaner float loops, which assign names in twos and threes and so
+build no tuple, have since moved the crossover to about 20; the golden
+digests of a 13-step and a 14-step training job pin the constant.  Batched walks,
+longer walks and :func:`run_walk`, whose caller reads the rows, take the
+array pass.
 """
 
 from __future__ import annotations
@@ -79,8 +87,8 @@ NAMED_COIN_VECTORS: dict[str, tuple[complex, complex]] = {
     "circ-right": (1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)),
 }
 
-#: Longest walk that :func:`_forward` runs on Python floats: the measured
-#: crossover between the float and the array pass (see the module docstring).
+#: Longest walk that :func:`_pass_values` hands to the float pass (see the
+#: module docstring).
 FLOAT_PASS_MAX_STEPS = 13
 
 _TWO_PI = 2.0 * math.pi
@@ -274,14 +282,22 @@ def _check_origin(initial: WalkState) -> None:
         raise ValueError("the walk requires a step-0 state located at the origin")
 
 
-def _forward(values: np.ndarray, steps: int, initial: WalkState):
-    """Walk ratio arrays from the origin; return the adjoint sweep of the
-    pass that ran, for one unbatched walk, and the output probabilities.
+def _pass_values(values: np.ndarray, steps: int) -> np.ndarray | list[float]:
+    """``values`` in the form of the pass that walks them: one walk of at most
+    :data:`FLOAT_PASS_MAX_STEPS` steps as a list of Python floats for the
+    float pass, any other ratio array as it is."""
+    return values.tolist() if values.ndim == 1 and steps <= FLOAT_PASS_MAX_STEPS else values
 
-    One walk of at most :data:`FLOAT_PASS_MAX_STEPS` steps takes the float
-    pass, any other call the array pass.  Both give the same bytes.
+
+def _forward(values: np.ndarray | list[float], steps: int, initial: WalkState):
+    """Walk ratios from the origin; return the adjoint sweep of the pass that
+    ran, for one unbatched walk, and the output probabilities.
+
+    A list is one walk for the float pass, whose probabilities, cotangent and
+    gradient are lists too; an array takes the array pass.  Both give the
+    same bytes; :func:`_pass_values` picks one by walk length.
     """
-    if values.ndim == 1 and steps <= FLOAT_PASS_MAX_STEPS:
+    if isinstance(values, list):
         buffers, probs = _forward_floats(values, steps, initial)
         return partial(_gradient_floats, buffers), probs
     buffers, probs = _forward_rows(values, steps, initial)
@@ -321,9 +337,10 @@ def _forward_rows(values: np.ndarray, steps: int, initial: WalkState):
     return (a, b, left, right), probs.transpose(*range(1, len(batch) + 1), 0)
 
 
-def _forward_floats(values: np.ndarray, steps: int, initial: WalkState):
+def _forward_floats(ratios: list[float], steps: int, initial: WalkState):
     """The float pass: one walk, on Python floats in the array pass's row
-    order; return ``(sqrt(r), sqrt(1-r), rows)`` and the output probabilities.
+    order; return ``(sqrt(r), sqrt(1-r), rows)`` and the output probabilities
+    as a list.
 
     ``rows`` holds four lists of one float per slot: the real and imaginary
     parts of L, then those of R.  Each float comes from the array pass's
@@ -331,20 +348,22 @@ def _forward_floats(values: np.ndarray, steps: int, initial: WalkState):
     (it fuses no multiply-add), so the bytes are the array pass's.
     """
     _check_origin(initial)
-    ratios = values.tolist()
     a, b = [math.sqrt(r) for r in ratios], [math.sqrt(1.0 - r) for r in ratios]
-    lr, li, rr, ri = rows = [[0.0] * _triangle(steps + 1) for _ in range(4)]
+    slots = _triangle(steps + 1)
+    lr, li, rr, ri = rows = [[0.0] * slots for _ in range(4)]
     (lr[0], li[0]), (rr[0], ri[0]) = initial.left.tolist()[0], initial.right.tolist()[0]
     start = 0
     for t in range(1, steps + 1):
         end = start + t
-        for k in range(start, end):
-            x, y, p, q, u, v = a[k], b[k], lr[k], li[k], rr[k], ri[k]
-            lr[k + t], li[k + t] = x * p + y * u, x * q + y * v
-            rr[k + t + 1], ri[k + t + 1] = y * p - x * u, y * q - x * v
+        for k in range(start, end):  # names in twos and threes: no tuple is built
+            x, y, j = a[k], b[k], k + t
+            p, q = lr[k], li[k]
+            u, v = rr[k], ri[k]
+            lr[j], li[j] = x * p + y * u, x * q + y * v
+            rr[j + 1], ri[j + 1] = y * p - x * u, y * q - x * v
         start = end
     final = zip(lr[start:], li[start:], rr[start:], ri[start:])
-    return (a, b, rows), np.array([(p * p + q * q) + (u * u + v * v) for p, q, u, v in final])
+    return (a, b, rows), [(p * p + q * q) + (u * u + v * v) for p, q, u, v in final]
 
 
 @lru_cache(maxsize=8)
@@ -389,32 +408,34 @@ def _gradient_rows(forward, cotangent: np.ndarray) -> np.ndarray:
     return parts[:, 0] + parts[:, 1] + 0.0  # add.reduce's bytes: two -0.0 parts sum to +0.0
 
 
-def _gradient_floats(forward, cotangent: np.ndarray) -> np.ndarray:
-    """The float pass's adjoint sweep: :func:`_gradient_rows`' operations in
-    its order, with the same slope of 0 at r = 0 and r = 1, and each ratio
-    scored as soon as its step back has read the adjoint after its coin."""
+def _gradient_floats(forward, cotangent: list[float]) -> list[float]:
+    """The float pass's adjoint sweep, lists in and out: :func:`_gradient_rows`'
+    operations in its order, with the same slope of 0 at r = 0 and r = 1, and
+    each ratio scored as soon as its step back has read the adjoint after its
+    coin."""
     a, b, (lr, li, rr, ri) = forward
-    count, steps = len(a), cotangent.size - 1
-    d_sr = [0.5 / x if x > 0.0 else 0.0 for x in a]
-    d_sq = [-0.5 / y if y > 0.0 else 0.0 for y in b]
-    seeds, pad = [2.0 * c for c in cotangent.tolist()], [0.0] * count
-    adj_lr, adj_li, adj_rr, adj_ri = (
+    count, steps = len(a), len(cotangent) - 1
+    seeds, pad = [2.0 * c for c in cotangent], [0.0] * count
+    adj_lr, adj_li, adj_rr, adj_ri = [
         pad + [c * x for c, x in zip(seeds, part[count:])] for part in (lr, li, rr, ri)
-    )
+    ]
     grad, end = pad.copy(), count
     for t in range(steps, 0, -1):
         start = end - t
-        for k in range(start, end):
-            x, y, dx, dy = a[k], b[k], d_sr[k], d_sq[k]
-            l, m, r, n = adj_lr[k + t], adj_li[k + t], adj_rr[k + t + 1], adj_ri[k + t + 1]
+        for k in range(start, end):  # names in twos and threes, as in _forward_floats
+            x, y, j = a[k], b[k], k + t
+            l, m = adj_lr[j], adj_li[j]
+            r, n = adj_rr[j + 1], adj_ri[j + 1]
             adj_lr[k], adj_li[k] = x * l + y * r, x * m + y * n
             adj_rr[k], adj_ri[k] = y * l - x * r, y * m - x * n
-            p, s, q, w = lr[k], li[k], rr[k], ri[k]
+            p, s = lr[k], li[k]
+            q, w = rr[k], ri[k]
+            dx, dy = 0.5 / x if x > 0.0 else 0.0, -0.5 / y if y > 0.0 else 0.0
             real = dx * (l * p - r * q) + dy * (l * q + r * p)
             imag = dx * (m * s - n * w) + dy * (m * w + n * s)
             grad[k] = real + imag + 0.0  # the + 0.0 of _gradient_rows
         end = start
-    return np.array(grad)
+    return grad
 
 
 def run_walk(initial: WalkState, schedule: CoinSchedule) -> WalkState:

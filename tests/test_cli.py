@@ -630,6 +630,52 @@ def test_a_set_that_names_one_file_twice_is_refused(log, tmp_path, monkeypatch, 
         assert files == before
 
 
+@pytest.mark.parametrize("log", ["x.csv", "./x.csv", "alias/x.csv"])
+def test_a_set_that_names_one_file_twice_is_refused_before_training(
+    log, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "alias").symlink_to(".")
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the clash is found after the work it should spare")
+
+    for name in ("train", "target_from_spec"):
+        monkeypatch.setattr(qwrng.cli, name, unreached)
+    monkeypatch.setattr(qwrng.training, "train", unreached)
+    argv = ["train", "--steps", "4", "--target", "uniform", "--max-iters", "3000",
+            "--out", "x.csv", "--log", log]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: x.csv and {log} name the same file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias"]
+
+
+def test_two_names_through_one_link_directory_are_two_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "alias").symlink_to(".")
+    argv = ["train", "--steps", "2", "--target", "uniform", "--out", "alias/x.sched"]
+    assert main(argv + ["--log", "y.csv"]) == 0
+    assert main(argv + ["--log", "alias/y.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias", "x.sched", "y.csv"]
+    assert read_schedule(tmp_path / "x.sched").steps == 2
+
+
+def test_an_input_that_links_to_the_output_is_refused(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    schedule = workspace["schedule"].read_bytes()
+    (tmp_path / "s").write_bytes(schedule)
+    (tmp_path / "link").symlink_to("s")
+    (tmp_path / "dir").symlink_to(".")
+    for source, out in [("link", "s"), ("link", "dir/s"), ("dir/s", "./s"), ("dir/link", "s")]:
+        assert main(["simulate", "--schedule", source, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {source} and {out} name the same file\n"
+        assert (tmp_path / "s").read_bytes() == schedule and (tmp_path / "link").is_symlink()
+    # an output that is a link to the input replaces the link, not the input
+    assert main(["simulate", "--schedule", "s", "--out", "link"]) == 0
+    assert (tmp_path / "s").read_bytes() == schedule and not (tmp_path / "link").is_symlink()
+    assert read_distribution(tmp_path / "link").steps == 4
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,23 +10,27 @@ reader against its general path on mutated files, and the two ways a
 mutated bit file may fail)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwrng import (
     NAMED_COIN_VECTORS,
     CoinSchedule,
     Distribution,
+    TrainConfig,
     fileio,
     initial_state,
     load_target,
     loss_gradient,
     measure,
     run_walk,
+    train,
     uniform_target,
+    walk,
 )
 from qwrng.fileio import (
     _columns,
@@ -51,6 +55,7 @@ from qwrng.walk import (
     _forward_rows,
     _gradient_floats,
     _gradient_rows,
+    _pass_values,
 )
 from util import PROPERTY
 
@@ -104,7 +109,8 @@ def test_batched_walk_rows_equal_their_walks_alone(data, steps, rows, v):
     for b, row in enumerate(values):
         (_, _, row_left, row_right), row_probs = _forward_rows(row, steps, initial)
         assert probs[b].tobytes() == row_probs.tobytes()
-        assert _forward(row, steps, initial)[1].tobytes() == row_probs.tobytes()
+        alone = _forward(_pass_values(row, steps), steps, initial)[1]  # the pass it takes
+        assert np.array(alone).tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
         dense = dense_walk(CoinSchedule(steps, row), v).as_array()
@@ -128,7 +134,8 @@ def test_batched_walk_rows_equal_their_walks_alone_past_the_oracle_cap(steps, ro
     for b, row in enumerate(values):
         (_, _, row_left, row_right), row_probs = _forward_rows(row, steps, initial)
         assert probs[b].tobytes() == row_probs.tobytes()
-        assert _forward(row, steps, initial)[1].tobytes() == row_probs.tobytes()
+        alone = _forward(_pass_values(row, steps), steps, initial)[1]  # the pass it takes
+        assert np.array(alone).tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
 
@@ -147,7 +154,8 @@ def test_two_batch_axes_keep_their_order(steps, seed, v):
     for i, j in np.ndindex(2, 3):
         (_, _, row_left, row_right), row_probs = _forward_rows(values[i, j], steps, initial)
         assert probs[i, j].tobytes() == row_probs.tobytes()
-        assert _forward(values[i, j], steps, initial)[1].tobytes() == row_probs.tobytes()
+        alone = _forward(_pass_values(values[i, j], steps), steps, initial)[1]  # the pass it takes
+        assert np.array(alone).tobytes() == row_probs.tobytes()
         assert left[:, i, j].tobytes() == row_left.tobytes()
         assert right[:, i, j].tobytes() == row_right.tobytes()
 
@@ -170,7 +178,7 @@ def test_end_sites_follow_their_closed_form_past_the_oracle_cap(steps, name, see
     left, right = (0.5 * math.prod(values[k].tolist()) for k in (lows, highs))
     initial = initial_state(NAMED_COIN_VECTORS[name])
     rows = measure(run_walk(initial, CoinSchedule(steps, values))).values
-    for probs in (rows, _forward(values, steps, initial)[1]):  # both passes up to 13 steps
+    for probs in (rows, _forward(values.tolist(), steps, initial)[1]):  # rows, then floats
         for p, closed in ((probs[0], left), (probs[-1], right)):
             # worst seen: 5e-16 absolute, 4e-15 relative (3000 random schedules)
             assert abs(p - closed) <= 1e-15, (p, closed)
@@ -191,12 +199,55 @@ def test_float_pass_equals_the_array_pass_byte_for_byte(steps, data, v, zero_res
     size = steps * (steps + 1) // 2
     values = np.array(data.draw(st.lists(FLOAT_PASS_RATIOS, min_size=size, max_size=size)))
     initial = initial_state(v)
-    floats, probs = _forward_floats(values, steps, initial)
+    floats, probs = _forward_floats(values.tolist(), steps, initial)
     rows, row_probs = _forward_rows(values, steps, initial)
-    assert probs.tobytes() == row_probs.tobytes()
-    goal = probs if zero_residual else data.draw(distributions(steps)).values
-    grad, row_grad = _gradient_floats(floats, probs - goal), _gradient_rows(rows, row_probs - goal)
-    assert grad.dtype == row_grad.dtype and grad.tobytes() == row_grad.tobytes()
+    assert np.array(probs).tobytes() == row_probs.tobytes()
+    goal = row_probs if zero_residual else data.draw(distributions(steps)).values
+    residual = [p - g for p, g in zip(probs, goal.tolist())]
+    grad, row_grad = _gradient_floats(floats, residual), _gradient_rows(rows, row_probs - goal)
+    assert np.array(grad).tobytes() == row_grad.tobytes()
+
+
+def _train_both_loops(initial, target, config, start):
+    """``train`` as it stands, then with every walk sent to the array loop:
+    each run's trace, final schedule and output bytes, and ``converged``."""
+    reports = [train(initial, target, config, start)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "FLOAT_PASS_MAX_STEPS", 0)
+        reports.append(train(initial, target, config, start))
+    return [
+        (
+            repr(r.iterations),
+            r.final_schedule.values.tobytes(),
+            r.output.values.tobytes(),
+            r.converged,
+        )
+        for r in reports
+    ]
+
+
+@pytest.mark.parametrize("steps", range(1, FLOAT_PASS_MAX_STEPS + 1))
+@settings(PROPERTY, max_examples=12)
+@given(st.data(), NAMED_OR_GENERATED, st.sampled_from(["goal", "loss", "budget"]))
+def test_the_float_loop_trains_as_the_array_loop_byte_for_byte(steps, data, v, stop):
+    size = steps * (steps + 1) // 2
+    ratios = data.draw(st.lists(FLOAT_PASS_RATIOS, min_size=size, max_size=size))
+    start = CoinSchedule(steps, ratios)
+    sites = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.05, 1.0))  # zero sites too
+    weights = np.array(data.draw(st.lists(sites, min_size=steps + 1, max_size=steps + 1)))
+    assume(weights.max() > 0.0)
+    target, initial = Distribution(steps, weights / weights.sum()), initial_state(v)
+    eta = data.draw(st.one_of(st.sampled_from([1.0, 0.5, 0.1]), st.floats(0.01, 1.0)))
+    config = TrainConfig(eta, data.draw(st.integers(1, 15)), fidelity_goal=1.0, loss_tol=0.0)
+    if stop != "budget":  # stop on the fidelity or the loss of a drawn iteration
+        trace = train(initial, target, config, start).iterations
+        _, loss, fid = trace[data.draw(st.integers(0, len(trace) - 1))]
+        assume(fid > 0.0)
+        kept = {"fidelity_goal": min(fid, 1.0)} if stop == "goal" else {"loss_tol": loss}
+        config = replace(config, **kept)
+    floats, rows = _train_both_loops(initial, target, config, start)
+    assert floats == rows
+    assert floats[3] or stop == "budget"
 
 
 @PROPERTY

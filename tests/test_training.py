@@ -16,6 +16,7 @@ from qwrng import (
     mse_loss,
     run_walk,
     train,
+    training,
     uniform_target,
 )
 from qwrng.oracle import fd_gradient
@@ -261,3 +262,75 @@ class TestTrain:
         assert report.converged
         assert len(report.iterations) == 1
 
+
+
+class TestFloatLoop:
+    """A walk of at most FLOAT_PASS_MAX_STEPS steps trains on Python floats;
+    its sums, squares and clip give numpy's bytes."""
+
+    def test_pairwise_sum_is_add_reduce_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 129):  # 7 | 8 | 9 and 15 | 16 | 17 cross numpy's block edges
+            draws = [rng.uniform(-1.0, 1.0, n) for _ in range(12)]
+            draws += [rng.uniform(0.0, 1.0, n) ** 2 * 10.0 ** rng.integers(-9, 9, n)]
+            draws += [np.full(n, -0.0), np.where(rng.random(n) < 0.5, -0.0, 0.0)]
+            for terms in draws:
+                got = np.float64(training._pairwise_sum(terms.tolist()))
+                assert got.tobytes() == np.add.reduce(terms).tobytes(), (n, terms.tolist())
+
+    def test_float_scores_equal_the_array_scores_bit_for_bit(self):
+        # CPython's x ** 2 rounds this square one ulp below np.square, and a
+        # peak squared with ** 2 moves the second pair's fidelity by an ulp
+        odd = float.fromhex("0x1.8000000000003p-2")
+        assert odd**2 != odd * odd == float(np.square(odd))
+        pair = (
+            [float.fromhex(x) for x in ("0x1.0df3153dc7d34p-1", "0x1.e419d5847059ap-2")],
+            [float.fromhex(x) for x in ("0x1.55eea8a8b18ddp-1", "0x1.5422aeae9ce48p-2")],
+        )
+        cases = [([odd, 1.0 - odd], [0.25, 0.75]), pair]
+        rng = np.random.default_rng(6)
+        for steps in range(1, 14):
+            for _ in range(20):
+                probs, goal = rng.dirichlet(np.ones(steps + 1), 2)
+                goal[rng.random(steps + 1) < 0.2] = 0.0
+                cases.append((probs.tolist(), goal.tolist()))
+        for probs, goal in cases:
+            residual, loss, fid = training._score_floats(probs, goal)
+            row_residual, row_loss, row_fid = training._score_rows(np.array(probs), np.array(goal))
+            assert np.array(residual).tobytes() == row_residual.tobytes()
+            assert repr((loss, fid)) == repr((row_loss, row_fid)), (probs, goal)
+
+    def test_float_update_clips_as_np_clip(self):
+        ratios = [0.5, 0.25, -0.0, 0.0, 1.0, 0.75, 0.5, 0.5, 1.0]
+        grad = [3.0, -9.0, 0.0, 0.0, 0.0, 0.25, 1e-17, -0.0, -1.0]
+        for eta in (0.1, 1.0):
+            got = training._descend_floats(ratios, grad, eta)
+            want = training._descend_rows(np.array(ratios), np.array(grad), eta)
+            assert np.array(got).tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[2]) == -1.0  # a -0.0 ratio keeps its sign
+
+    @staticmethod
+    def _forbid(monkeypatch, module, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} called")
+
+        monkeypatch.setattr(module, name, forbidden)
+
+    @staticmethod
+    def _train(circ_left, steps):
+        config = TrainConfig(eta=0.5, max_iters=4, fidelity_goal=1.0)
+        target = qwrng.gaussian_target(steps, 0.5, 2.0)
+        return train(circ_left, target, config, CoinSchedule.random(steps, 1))
+
+    @pytest.mark.parametrize("steps", [4, qwrng.walk.FLOAT_PASS_MAX_STEPS])
+    def test_a_short_walk_trains_without_the_array_pass_or_array_scores(
+        self, circ_left, monkeypatch, steps
+    ):
+        self._forbid(monkeypatch, qwrng.walk, "_forward_rows")
+        self._forbid(monkeypatch, training, "_mse")
+        self._forbid(monkeypatch, training, "_fidelity")
+        assert len(self._train(circ_left, steps).iterations) == 5
+
+    def test_a_longer_walk_trains_without_the_float_pass(self, circ_left, monkeypatch):
+        self._forbid(monkeypatch, qwrng.walk, "_forward_floats")
+        assert len(self._train(circ_left, qwrng.walk.FLOAT_PASS_MAX_STEPS + 1).iterations) == 5

@@ -18,7 +18,12 @@ from qwrng import (
 from qwrng.fileio import schedule_from_text
 from qwrng.oracle import dense_walk
 from qwrng.walk import (
-    FLOAT_PASS_MAX_STEPS, _forward, _gradient_floats, _gradient_rows, schedule_keys,
+    FLOAT_PASS_MAX_STEPS,
+    _forward,
+    _gradient_floats,
+    _gradient_rows,
+    _pass_values,
+    schedule_keys,
 )
 
 from util import random_coin_vector, random_schedule
@@ -235,7 +240,7 @@ class TestPassChoice:
 
     @staticmethod
     def _sweep(shape, steps, initial):
-        sweep, _ = _forward(np.full(shape, 0.5), steps, initial)
+        sweep, _ = _forward(_pass_values(np.full(shape, 0.5), steps), steps, initial)
         return sweep.func
 
     @pytest.mark.parametrize("steps", [0, 1, FLOAT_PASS_MAX_STEPS])
@@ -252,7 +257,7 @@ class TestPassChoice:
     def test_both_passes_require_an_origin_start(self, steps):
         shifted = one_step((1.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="origin"):
-            _forward(np.full(steps * (steps + 1) // 2, 0.5), steps, shifted)
+            _forward(_pass_values(np.full(steps * (steps + 1) // 2, 0.5), steps), steps, shifted)
 
 
 class TestMeasure:
