@@ -263,7 +263,7 @@ def _schedule_from_rows(text: str) -> CoinSchedule:
         raise ValueError(f"schedule file must start with 'steps=<n>', got {header!r}")
     t, m, r = _columns(text, (int, int, float), "'step,position,r'", skip=1)
     steps = int(match.group(1))
-    size = steps * (steps + 1) // 2
+    size = _triangle(steps)
     mismatch = f"schedule key set does not match a {steps}-step walk"
     if size > 2 * len(r):  # far too few rows: keeps the key list and the slot arithmetic small
         raise ValueError(f"{mismatch} ({len(r)} rows for {size} entries)")

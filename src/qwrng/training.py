@@ -125,7 +125,7 @@ def apply_update(schedule: CoinSchedule, grad: np.ndarray, eta: float) -> CoinSc
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != schedule.values.shape:
         raise ValueError(f"gradient has shape {grad.shape}, expected {schedule.values.shape}")
-    return CoinSchedule(schedule.steps, np.clip(schedule.values - eta * grad, 0.0, 1.0))
+    return CoinSchedule(schedule.steps, _descend_rows(schedule.values, grad, eta))
 
 
 @dataclass(frozen=True)

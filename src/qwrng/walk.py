@@ -27,37 +27,17 @@ where their results land.  A stack of schedules (ratio arrays of shape
 would alone.  :func:`_forward` also returns the pass's adjoint sweep, which
 maps a cotangent ``v`` over one walk's probabilities to ``J^T v``.
 
-That array pass makes six ufunc calls per step, on blocks of ``t`` rows, so
-for a short walk its time is numpy's fixed cost per call, not arithmetic.
-One unbatched walk of at most :data:`FLOAT_PASS_MAX_STEPS` steps therefore
-runs a second implementation, the float pass: the same rows in the same
-order, held in Python lists, with the array pass's float operations in its
-order.  CPython rounds each operation on its own (a square is ``x * x``, as
-``np.square`` rounds it, never ``x ** 2``), so both passes give the same
-bytes, and tests hold them to that.  :func:`_forward` takes the float pass
-for a list of ratios and hands back lists, so the trainer keeps its whole
-iteration on floats; :func:`_pass_values` turns a ratio array into the form
-of the pass its length takes.  Forward pass plus adjoint sweep per call
-(best of 25 interleaved rounds, 2-core VM; the ratio over two such runs):
-
-=====  ==========  ==========  =========
-n      array pass  float pass  ratio
-=====  ==========  ==========  =========
-4      72 us       20 us       0.28-0.31
-8      102 us      51 us       0.47-0.50
-12     135 us      91 us       0.61-0.68
-13     172 us      114 us      0.64-0.66
-14     160 us      124 us      0.70-0.78
-16     198 us      170 us      0.79-0.86
-24     250 us      344 us      1.18-1.38
-=====  ==========  ==========  =========
-
-The constant, 13, was the crossover when the float pass came in (1.02 at
-n = 14).  Leaner float loops, which assign names in twos and threes and so
-build no tuple, have since moved the crossover to about 20; the golden
-digests of a 13-step and a 14-step training job pin the constant.  Batched walks,
-longer walks and :func:`run_walk`, whose caller reads the rows, take the
-array pass.
+For a short walk the array pass's six ufunc calls per step cost more than
+their arithmetic, so one unbatched walk of at most
+:data:`FLOAT_PASS_MAX_STEPS` steps runs the float pass: the same rows and
+float operations in the same order, on Python lists.  Both passes give the
+same bytes, by the rules in :mod:`qwrng.training`'s docstring; tests hold
+them to that.  :func:`_forward` dispatches on the type of its ratios: a
+list takes the float pass and comes back as lists, so the trainer's whole
+iteration stays on floats; :func:`_pass_values` gives an array the form its
+length takes.  ``robustness_sweep``'s batches, ``loss_gradient`` and
+:func:`run_walk`, whose caller reads the rows, always take arrays.  The
+golden jobs ``n13-float-pass`` and ``n14-array-pass`` pin the constant.
 """
 
 from __future__ import annotations
@@ -87,8 +67,7 @@ NAMED_COIN_VECTORS: dict[str, tuple[complex, complex]] = {
     "circ-right": (1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)),
 }
 
-#: Longest walk that :func:`_pass_values` hands to the float pass (see the
-#: module docstring).
+#: Longest walk that :func:`_pass_values` hands to the float pass.
 FLOAT_PASS_MAX_STEPS = 13
 
 _TWO_PI = 2.0 * math.pi
@@ -274,6 +253,7 @@ def initial_state(coin_vector: Iterable[complex]) -> WalkState:
 
 def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Per-slot probability |c_L|^2 + |c_R|^2 of slot-major rows ``(..., 2)``."""
+    # np.add.reduce, not np.sum, whose Python wrapper costs more per call
     return np.add.reduce(left * left, -1) + np.add.reduce(right * right, -1)
 
 
@@ -294,8 +274,7 @@ def _forward(values: np.ndarray | list[float], steps: int, initial: WalkState):
     ran, for one unbatched walk, and the output probabilities.
 
     A list is one walk for the float pass, whose probabilities, cotangent and
-    gradient are lists too; an array takes the array pass.  Both give the
-    same bytes; :func:`_pass_values` picks one by walk length.
+    gradient are lists too; an array takes the array pass.
     """
     if isinstance(values, list):
         buffers, probs = _forward_floats(values, steps, initial)
@@ -320,6 +299,7 @@ def _forward_rows(values: np.ndarray, steps: int, initial: WalkState):
     _check_origin(initial)
     *batch, count = values.shape
     coin = np.empty((2, count, *batch, 2))
+    # ndarray.transpose, not np.moveaxis: a short walk's time is numpy's cost per call
     coin[0] = values.transpose(len(batch), *range(len(batch)))[..., None]
     np.subtract(1.0, coin[0], out=coin[1])
     a, b = np.sqrt(coin, out=coin)
@@ -400,6 +380,7 @@ def _gradient_rows(forward, cotangent: np.ndarray) -> np.ndarray:
         np.add(sr * l, sq * r, out=adj_l[start:end])
         np.subtract(sq * l, sr * r, out=adj_r[start:end])
         end = start
+    # one take over L and R stacked, not two fancy-index gathers: half the calls
     lam_l, lam_r = adj.reshape(-1, 2).take(_after_coin(steps), 0)
     psi_l, psi_r = left[:count], right[:count]
     d_sr = np.divide(0.5, a[:, 0], out=np.zeros(count), where=a[:, 0] > 0.0)[:, None]

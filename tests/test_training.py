@@ -159,8 +159,20 @@ class TestApplyUpdate:
         sched = CoinSchedule.constant(1, 0.5)
         grad = np.zeros(1)
         for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="learning rate"):
+            with pytest.raises(ValueError, match="learning rate") as got:
                 apply_update(sched, grad, eta=bad)
+            with pytest.raises(ValueError) as want:
+                TrainConfig(eta=bad)
+            assert str(got.value) == str(want.value)
+
+    def test_is_one_descend_rows_step(self):
+        # steps past 0 and past 1, and a -0.0 ratio that a zero gradient keeps
+        sched = CoinSchedule(3, [0.02, 0.97, -0.0, 0.5, 0.0, 1.0])
+        grad = np.array([0.5, -0.5, 0.0, 0.125, -0.0, 3.0])
+        for eta in (0.1, 0.7, 1.0):
+            got = apply_update(sched, grad, eta).values
+            assert got.tobytes() == training._descend_rows(sched.values, grad, eta).tobytes()
+        assert got.tolist()[:2] == [0.0, 1.0] and math.copysign(1.0, got[2]) == -1.0
 
 
 class TestTrainConfig:
