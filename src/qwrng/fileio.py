@@ -56,7 +56,9 @@ _staged: contextvars.ContextVar[list[tuple[str, str | Path]] | None] = contextva
 )
 
 
-def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> None:
+def _write(
+    path: str | Path, data: str | Iterable[bytes | np.ndarray], at_least: int = 0
+) -> None:
     """Replace ``path`` with ``data``, a text or byte chunks written in order,
     through a temporary file beside it, so a failed write (also one that fails
     while the chunks are produced) leaves the old file intact.  The temporary
@@ -64,7 +66,8 @@ def _write(path: str | Path, data: str | Iterable[bytes], at_least: int = 0) -> 
     any new file.  A write promised to take ``at_least`` bytes fails before
     its first chunk when the directory has less space free.  The replace waits
     for the end of the :func:`all_or_none` block, a set of one outside any, and
-    a target that the block has already written is refused."""
+    a target that the block has already written is refused.  A byte chunk is
+    ``bytes`` or a contiguous uint8 array."""
     if (staged := _staged.get()) is None:
         with all_or_none():
             return _write(path, data, at_least)
@@ -357,13 +360,17 @@ def write_indices(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """One decimal outcome index per line, at least two bytes each.
 
     Each outcome's row ``f"{i}\\n"`` is precomputed as NUL-padded fixed-width
-    bytes; each chunk's rows are gathered by outcome and the padding dropped.
+    bytes, 3-byte rows in 4-byte slots, which numpy gathers as whole words;
+    each chunk's rows are gathered by outcome and ``ndarray.compress`` drops
+    the padding.
     """
-    table = np.array([f"{i}\n" for i in range(stream.n_outcomes)], dtype=np.bytes_)
+    lines = [f"{i}\n" for i in range(stream.n_outcomes)]
+    longest = len(lines[-1])
+    table = np.array(lines, dtype=f"S{4 if longest == 3 else longest}")
 
-    def encode(outcomes: np.ndarray) -> bytes:
+    def encode(outcomes: np.ndarray) -> np.ndarray:
         gathered = table.take(outcomes).view(np.uint8)
-        return gathered[gathered != 0].tobytes()
+        return gathered.compress(gathered != 0)
 
     _write(path, map(encode, stream.chunks()), at_least=2 * stream.count)
 
@@ -376,22 +383,34 @@ _MAX_FAST_DIGITS = 18
 
 def _digit_lines(data: bytes) -> tuple[np.ndarray, int] | None:
     """``data``'s non-blank lines as int64 and its count of newlines, when every
-    byte is a digit or a newline and no line exceeds ``_MAX_FAST_DIGITS``; else None."""
+    byte is a digit or a newline and no line exceeds ``_MAX_FAST_DIGITS``; else None.
+
+    Line ``j``'s digit ``k`` from the right sits at ``ends[j] - k``; Horner's
+    rule reads it for every line as long as ``k`` is within the shortest
+    line, and past that multiplies it by ``lengths >= k``, which zeroes the
+    bytes of earlier lines (or, wrapping below 0, of the block's end) that a
+    shorter line would otherwise pick up."""
     raw = np.frombuffer(data, np.uint8)
     digits = raw - np.uint8(ord("0"))  # any byte below "0" wraps above 9
     newline = raw == ord("\n")
     if not np.all((digits < 10) | newline):
         return None
-    ends = np.flatnonzero(np.append(newline, True))  # a final line may lack its newline
+    ends = np.flatnonzero(newline)
+    breaks = ends.size
+    if not data.endswith(b"\n"):  # a final line may lack its newline
+        ends = np.append(ends, raw.size)
     lengths = np.diff(ends, prepend=-1) - 1
-    breaks, ends, lengths = ends.size - 1, ends[lengths > 0], lengths[lengths > 0]
+    if not lengths.all():  # drop the blank lines
+        ends, lengths = ends[lengths > 0], lengths[lengths > 0]
+    shortest = int(lengths.min()) if lengths.size else 0
     longest = int(lengths.max(initial=0))
     if longest > _MAX_FAST_DIGITS:
         return None
     values = np.zeros(ends.size, dtype=np.int64)
-    for k in range(longest, 0, -1):  # Horner's rule, most significant digit first
+    for k in range(longest, 0, -1):  # most significant digit first
+        column = digits[ends - k]
         values *= 10
-        values += np.where(lengths >= k, digits[ends - k], 0)
+        values += column if k <= shortest else column * (lengths >= k)
     return values, breaks
 
 
@@ -450,21 +469,20 @@ def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
     The sidecar records the draw count, the per-outcome field width and how
     many zero bits pad the final byte; it is checked before the payload, and
     both files are written before the payload and then the sidecar replace
-    their targets.  Every chunk but the last holds a multiple of 8
-    outcomes, so each packs into whole bytes and the file equals one packing
-    of the whole stream.  A single-outcome stream takes no bits: its payload
-    is empty and it is not drawn.
+    their targets.  Each chunk is packed by :func:`sampling.pack_fields`,
+    whose bytes equal ``pack_bits(encode_bits(...))[0]``.  Every chunk but the
+    last holds a multiple of 8 outcomes, so each packs into whole bytes and
+    the file equals one packing of the whole stream.  A single-outcome
+    stream takes no bits: its payload is empty and it is not drawn.
     """
     n, width = stream.n_outcomes, sampling.bit_width(stream.n_outcomes)
     meta = f"{path}.meta"
     _check_regular(meta)
-
-    def encode(outcomes: np.ndarray) -> bytes:
-        return sampling.pack_bits(sampling.encode_bits(outcomes, n))[0]
-
+    # map, unlike a generator's loop variable, keeps no chunk alive while the next is drawn
+    payload = map(sampling.pack_fields, stream.chunks(), repeat(n)) if width else []
     n_bits = stream.count * width
     with all_or_none():
-        _write(path, map(encode, stream.chunks()) if width else [], at_least=-(-n_bits // 8))
+        _write(path, payload, at_least=-(-n_bits // 8))
         _write(meta, f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
 
 

@@ -10,6 +10,10 @@ short correction step walks past the cumulative entries that a uniform
 still reaches, so every index equals ``searchsorted(cdf, u, side="right")``.
 The streams are deterministic stand-ins for a physical detection record,
 not a source of true entropy.
+
+The bit file writer packs outcomes with :func:`pack_fields`, eight fields at
+a time into whole words; :func:`encode_bits` and :func:`pack_bits`, one
+byte per bit, are the public reference whose bytes it equals.
 """
 
 from __future__ import annotations
@@ -134,8 +138,10 @@ def draw(sampler: SamplerState, count: int) -> SampleStream:
 
 
 def check_outcomes(outcomes: np.ndarray, n_outcomes: int) -> None:
-    """Reject any outcome index outside ``[0, n_outcomes - 1]``."""
-    if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= n_outcomes):
+    """Reject any outcome index of the int64 array ``outcomes`` outside
+    ``[0, n_outcomes - 1]``."""
+    # a negative int64 reads as at least 2**63 unsigned, so one max checks both ends
+    if outcomes.size and outcomes.view(np.uint64).max() >= n_outcomes:
         bad = outcomes[(outcomes < 0) | (outcomes >= n_outcomes)][0]
         raise ValueError(f"outcome index {bad} outside [0, {n_outcomes - 1}]")
 
@@ -152,8 +158,7 @@ def encode_bits(stream: np.ndarray, n_outcomes: int) -> np.ndarray:
     check_outcomes(outcomes, n_outcomes)
     width = bit_width(n_outcomes)
     # one bit column at a time, from the narrowest integer type that holds
-    # every index: the one count x width array is the uint8 result, so the
-    # file writers bound it by encoding one chunk of a stream at a time
+    # every index: the one count x width array is the uint8 result
     small = outcomes.astype(np.min_scalar_type(n_outcomes - 1))
     bits = np.empty((outcomes.size, width), dtype=np.uint8)
     for j in range(width):
@@ -187,6 +192,47 @@ def pack_bits(bits: np.ndarray) -> tuple[bytes, int]:
     bits = np.asarray(bits, dtype=np.uint8)
     padding = (-bits.size) % 8
     return np.packbits(bits).tobytes(), int(padding)
+
+
+def pack_fields(stream: np.ndarray, n_outcomes: int) -> bytes:
+    """The bytes of ``pack_bits(encode_bits(stream, n_outcomes))[0]``, built
+    from whole words rather than one byte per bit.
+
+    Each group of 8 outcomes becomes ``w = bit_width(n_outcomes)`` bytes.
+    Neighbouring fields are merged pairwise, the earlier one above, while
+    two fit one unsigned lane of 16, 32 or 64 bits; the fields left in a
+    group are then shifted into its ``ceil(w / 8)`` uint64 words, a field
+    that straddles two words by a right shift into the first and a left
+    shift into the second.  A short final group is zero-padded, and the
+    output ends at ``ceil(count * w / 8)`` bytes.  One-bit fields are the
+    outcomes themselves, which ``np.packbits`` packs directly.
+    """
+    outcomes = np.asarray(stream, dtype=np.int64)
+    check_outcomes(outcomes, n_outcomes)
+    width, count = bit_width(n_outcomes), outcomes.size
+    lanes = np.zeros(-(-count // 8) * 8, dtype=np.min_scalar_type(n_outcomes - 1))
+    lanes[:count] = outcomes
+    if width < 2:
+        return np.packbits(lanes[: count * width]).tobytes()
+    bits, per_group = width, 8
+    while lanes.itemsize < 8:  # a little-endian pair holds the earlier field low
+        wide = np.dtype(f"<u{2 * lanes.itemsize}")
+        lane, pairs = 8 * lanes.itemsize, lanes.view(wide)
+        merged = (pairs & wide.type((1 << lane) - 1)) << wide.type(bits) | pairs >> wide.type(lane)
+        lanes, bits, per_group = merged.astype(wide, copy=False), 2 * bits, per_group // 2
+    fields = lanes.reshape(-1, per_group)
+    words = np.zeros((len(fields), -(-width // 8)), dtype=np.uint64)
+    for i in range(per_group):
+        word, offset = divmod(i * bits, 64)
+        spill = offset + bits - 64  # bits of field i past the end of its first word
+        if spill > 0:
+            words[:, word] |= fields[:, i] >> np.uint64(spill)
+            words[:, word + 1] |= fields[:, i] << np.uint64(64 - spill)
+        else:
+            words[:, word] |= fields[:, i] << np.uint64(-spill)
+    # the same bytes as the uint8 slice's, but tobytes copies a void record at a time
+    packed = words.astype(">u8").view(np.uint8)[:, :width].view(f"V{width}")
+    return packed.tobytes()[: -(-count * width // 8)]
 
 
 def unpack_bits(buf: bytes, padding_bits: int) -> np.ndarray:

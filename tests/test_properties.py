@@ -4,7 +4,8 @@ up to the oracle's size cap, batched rows past that cap against their own
 walks, a stack over two batch axes row by row, the float pass against the
 array pass byte for byte, and the adjoint gradient), and the file formats
 (byte-exact round trips, every bit width, streamed sample files against
-one-piece ones across chunk edges, line-numbered diagnostics, the
+one-piece ones across chunk edges, the word packer against the per-bit
+reference, line-numbered diagnostics, the
 array-speed index codec against the plain line-by-line one, the schedule
 reader against its general path on mutated files, and the two ways a
 mutated bit file may fail)."""
@@ -47,7 +48,7 @@ from qwrng.fileio import (
     write_indices,
 )
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
-from qwrng.sampling import _CHUNK, ChunkedStream, build_sampler, draw, encode_bits
+from qwrng.sampling import _CHUNK, ChunkedStream, build_sampler, draw, encode_bits, pack_fields
 from qwrng.walk import (
     FLOAT_PASS_MAX_STEPS,
     _forward,
@@ -440,6 +441,23 @@ def test_sample_files_round_trip_at_every_width(workdir, n_outcomes, count, seed
     assert not list(workdir.glob("*.tmp"))
 
 
+def test_packer_matches_the_per_bit_reference_at_every_width():
+    # both supports of each width, one past a power of two and the power
+    # itself, with n - 1 first and 0 last; the counts leave none or 1 to 7
+    # outcomes in a short final group.  The long count, whose per-bit
+    # reference is the slow part, runs at one support a width: 2**width at
+    # even widths, the other one at odd widths.
+    rng = np.random.default_rng(0)
+    for width in range(1, 64):
+        for n_outcomes in (2 ** (width - 1) + 1, 2**width):
+            long = (n_outcomes == 2**width) == (width % 2 == 0)
+            for count in [1, 7, 8, 9, 15, 17] + [_CHUNK + 3] * long:
+                outcomes = rng.integers(0, n_outcomes, count)
+                outcomes[[-1, 0]] = 0, n_outcomes - 1
+                reference = np.packbits(encode_bits(outcomes, n_outcomes)).tobytes()
+                assert pack_fields(outcomes, n_outcomes) == reference, (n_outcomes, count)
+
+
 #: How :func:`read_bits` may reject a bit file: the two failure kinds it has.
 BITS_REJECTIONS = ("malformed sidecar header", "sidecar promises")
 
@@ -520,7 +538,7 @@ def test_successive_draws_continue_one_stream(first, second, seed):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
-@pytest.mark.parametrize("n_outcomes", [1, 9, 10, 11, 99, 100, 101, 257, 1001])
+@pytest.mark.parametrize("n_outcomes", [1, 9, 10, 11, 99, 100, 101, 257, 1000, 1001, 10001])
 def test_index_writer_matches_the_join_reference(workdir, n_outcomes):
     source = Distribution(n_outcomes - 1, np.full(n_outcomes, 1 / n_outcomes))
     count = 20 * n_outcomes + 300
@@ -550,6 +568,8 @@ DIGIT_LINES = st.lists(
 @PROPERTY
 @given(DIGIT_LINES.filter(any), st.booleans())
 @example(["999999999999999999", "", "000000000000000007", "0"], False)
+@example(["7", "123456789012345678"], True)  # ends - k wraps below 0: the mask zeroes it
+@example(["12", "34", "56"], False)  # equal lengths: no digit is masked
 def test_fast_index_reader_matches_the_line_reader(workdir, lines, final_newline):
     text = "\n".join(lines) + ("\n" if final_newline else "")
     assert _digit_lines(text.encode("ascii")) is not None  # the array path takes this file
