@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import warnings
 
@@ -92,23 +91,13 @@ def _file_target(spec: str) -> str | None:
     return spec[len("file:"):] if spec.startswith("file:") else None
 
 
-def _check_inputs_kept(outputs: list[str], *inputs: str | None) -> None:
-    """Refuse an output that names an existing input, before anything is read
-    or drawn: writing it would replace the file that the command reads."""
-    for path in inputs:
-        if path is not None and os.path.exists(path):
-            for out in outputs:
-                fileio.check_kept(path, out)
-
-
 def _output(schedule: CoinSchedule, coin_vector: tuple[complex, complex]) -> Distribution:
     """Output distribution of ``schedule`` walked from ``coin_vector``."""
     return measure(run_walk(initial_state(coin_vector), schedule))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    fileio.check_distinct(args.out, args.log)  # refused before training, not after it
-    _check_inputs_kept([args.out, args.log], _file_target(args.target))
+    fileio.check_outputs([args.out, args.log], [_file_target(args.target)])
     target = target_from_spec(args.target, args.steps)
     start = _parse_init(args.init, target.steps)
     config = TrainConfig(eta=args.eta, max_iters=args.max_iters, fidelity_goal=args.fidelity_goal)
@@ -121,7 +110,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_inputs_kept([args.out], args.schedule)
+    fileio.check_outputs([args.out], [args.schedule])
     schedule = fileio.read_schedule(args.schedule)
     fileio.write_distribution(_output(schedule, _parse_coin_vector(args.initial)), args.out)
     return 0
@@ -129,7 +118,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     bits = args.format == "bits"
-    _check_inputs_kept([args.out, f"{args.out}.meta"] if bits else [args.out], args.schedule)
+    fileio.check_outputs([args.out, f"{args.out}.meta"] if bits else [args.out], [args.schedule])
     schedule = fileio.read_schedule(args.schedule)
     sampler = build_sampler(_output(schedule, _parse_coin_vector(args.initial)), args.seed)
     # drawn chunk by chunk while the file is written, so memory does not grow with --count
@@ -140,7 +129,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _check_inputs_kept([args.out], args.samples, args.schedule, _file_target(args.target))
+    fileio.check_outputs([args.out], [args.samples, args.schedule, _file_target(args.target)])
     if args.quantize_deg is not None and args.schedule is None:
         raise ValueError("--quantize-deg needs --schedule")
 
@@ -152,10 +141,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("need --steps (or --schedule) to size this target")
 
     target = target_from_spec(args.target, steps)
-
-    # tallied block by block, so memory does not grow with the sample count
-    counts = sum(counts_by_position(c, target.steps) for c in fileio.iter_indices(args.samples))
-    empirical = Distribution(target.steps, counts / counts.sum())
     quantization: list[tuple[str, object]] = []
     if args.quantize_deg is not None:
         coin_vector = NAMED_COIN_VECTORS[DEFAULT_TRAIN_STATE]
@@ -167,6 +152,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ("quantized_fidelity", quantized),
             ("quantized_fidelity_delta", exact - quantized),
         ]
+
+    # tallied block by block, so memory does not grow with the sample count
+    counts = sum(counts_by_position(c, target.steps) for c in fileio.iter_indices(args.samples))
+    empirical = Distribution(target.steps, counts / counts.sum())
     with warnings.catch_warnings(record=True) as held:  # shown once the report is written
         chi2 = chi_square_test(counts, target)
     shannon, min_entropy = entropy_report(empirical)

@@ -9,9 +9,9 @@ length: the writers encode and write a :class:`sampling.ChunkedStream` as it
 is drawn, and :func:`iter_indices` reads every index file one block of whole
 lines at a time, parsing each block on its own.  Before the first chunk, a
 writer checks that the target's file system has room for the payload, so an
-impossible count fails at once instead of filling the disk.  An existing
-target that is not a regular file (a FIFO, a device, a symlink to either) is
-refused: replacing it would break whatever reads it.
+impossible count fails at once instead of filling the disk.  Every target
+passes :func:`check_outputs`, the one guard on outputs, which each command
+also calls before it reads, trains or draws.
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, and rows are emitted in a fixed sort order, so writing the
@@ -30,7 +30,7 @@ import math
 import os
 import re
 import shutil
-from itertools import repeat, starmap
+from itertools import combinations, filterfalse, repeat, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -65,15 +65,13 @@ def _write(
     file is created with a plain ``open``, so its mode follows the umask like
     any new file.  A write promised to take ``at_least`` bytes fails before
     its first chunk when the directory has less space free.  The replace waits
-    for the end of the :func:`all_or_none` block, a set of one outside any, and
-    a target that the block has already written is refused.  A byte chunk is
-    ``bytes`` or a contiguous uint8 array."""
+    for the end of the :func:`all_or_none` block, a set of one outside any;
+    :func:`check_outputs` runs on the block's targets and ``path`` first.  A
+    byte chunk is ``bytes`` or a contiguous uint8 array."""
     if (staged := _staged.get()) is None:
         with all_or_none():
             return _write(path, data, at_least)
-    for _, done in staged:
-        check_distinct(done, path)
-    _check_regular(path)
+    check_outputs([*(done for _, done in staged), path])
     if at_least:
         free = shutil.disk_usage(Path(path).parent).free
         if at_least > free:
@@ -84,22 +82,29 @@ def _write(
     staged.append((tmp, path))
 
 
-def check_distinct(first: str | Path, second: str | Path) -> None:
-    """Refuse two outputs that name one file: the same last component and the
-    same real path.  Only such paths share a rename target; a symlink as the
-    last component is replaced, not written through."""
-    same_name = os.path.basename(first) == os.path.basename(second)
-    if same_name and os.path.realpath(first) == os.path.realpath(second):
-        raise ValueError(f"{first} and {second} name the same file")
-
-
-def check_kept(source: str | Path, out: str | Path) -> None:
-    """Refuse an output whose rename would replace the file read as
-    ``source``: the rename lands on ``out``'s last component in the real
-    directory that holds it, and ``source`` is read through any symlink."""
-    replaced = os.path.join(os.path.realpath(os.path.dirname(out)), os.path.basename(out))
-    if os.path.realpath(source) == replaced:
-        raise ValueError(f"{source} and {out} name the same file")
+def check_outputs(outputs: Sequence[str | Path], inputs: Iterable[str | Path | None] = ()) -> None:
+    """The one guard on a command's outputs, run before any work.  It refuses,
+    in this order: two outputs with the same last component and real path
+    (only those share a rename target); an output whose rename would replace
+    an existing input, read through any symlink; an existing target that is
+    not a regular file; one whose directory is missing, as ``open`` would.
+    Real paths are resolved only for a shared last component or an input."""
+    for first, out in combinations(outputs, 2):
+        same_name = os.path.basename(first) == os.path.basename(out)
+        if same_name and os.path.realpath(first) == os.path.realpath(out):
+            raise ValueError(f"{first} and {out} name the same file")
+    for source in [path for path in inputs if path and os.path.exists(path)]:
+        for out in outputs:  # the rename lands on the last component in the real directory
+            folder, name = os.path.split(out)
+            if os.path.realpath(source) == os.path.join(os.path.realpath(folder), name):
+                raise ValueError(f"{source} and {out} name the same file")
+    for out in filterfalse(os.path.isfile, outputs):  # one stat for a regular file
+        if os.path.exists(out):
+            raise OSError(f"{out} exists and is not a regular file")
+        try:  # "dir/." fails as open would: ENOENT, or ENOTDIR past a file
+            os.stat(os.path.join(os.path.dirname(out), "."))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(out)) from None
 
 
 @contextlib.contextmanager
@@ -137,11 +142,6 @@ def all_or_none() -> Iterator[None]:
         raise
     finally:
         _staged.reset(token)
-
-
-def _check_regular(path: str | Path) -> None:
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(f"{path} exists and is not a regular file")
 
 
 def _table(header: str, row_format: str, rows: Iterable[Sequence]) -> str:
@@ -477,7 +477,7 @@ def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """
     n, width = stream.n_outcomes, sampling.bit_width(stream.n_outcomes)
     meta = f"{path}.meta"
-    _check_regular(meta)
+    check_outputs([path, meta])
     # map, unlike a generator's loop variable, keeps no chunk alive while the next is drawn
     payload = map(sampling.pack_fields, stream.chunks(), repeat(n)) if width else []
     n_bits = stream.count * width

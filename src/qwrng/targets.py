@@ -24,7 +24,8 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     ``T(m)`` is proportional to ``exp(-(m - mu)^2 / (2 sigma^2))`` over the
     parity-correct sites; the weights are shifted in log space before
     exponentiation so extreme parameters cannot underflow to an all-zero
-    vector; a sigma whose square overflows scales the distances first.
+    vector; a sigma whose square overflows, or so small that ``2 sigma^2``
+    is 0, scales the distances first.
     Parameters so extreme that even the nearest site's log weight is still
     not finite are rejected.
     """
@@ -35,9 +36,10 @@ def gaussian_target(steps: int, mu: float = 0.0, sigma: float = 2.0) -> Distribu
     if not (0.0 < sigma < math.inf):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     sites = np.arange(-steps, steps + 1, 2, dtype=float)
+    spread = 2.0 * sigma * sigma
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_w = -((sites - mu) ** 2) / (2.0 * sigma * sigma)
-        if not math.isfinite(log_w.max()) and math.isinf(sigma * sigma):
+        log_w = -((sites - mu) ** 2) / spread
+        if not math.isfinite(log_w.max()) and (math.isinf(sigma * sigma) or spread == 0.0):
             log_w = -(((sites - mu) / sigma) ** 2) / 2
     # a far-off site may overflow to -inf and weigh 0, but the nearest must stay finite
     peak = log_w.max()

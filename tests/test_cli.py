@@ -521,6 +521,16 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: resolution must be positive and finite, got inf\n"
         assert not (tmp_path / "r.csv").exists()
 
+    def test_bad_resolution_is_found_before_any_sample_is_read(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        argv = ["analyze", "--samples", str(empty), "--target", "uniform",
+                "--schedule", str(workspace["schedule"]), "--quantize-deg", "-1",
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: resolution must be positive and finite, got -1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.txt"]
+
 
 class TestParser:
     def test_unknown_command_exits_one(self, capsys):
@@ -705,6 +715,67 @@ def test_an_output_that_names_an_input_is_refused(argv, workspace, tmp_path, mon
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
 
+#: Per command, an argv ending in ``--out`` that reads some of ``s.sched``,
+#: ``x.txt`` and ``t.csv``, and one of those inputs for ``--out ./<input>``.
+GUARDED = {
+    "train": ("train --steps 4 --target file:t.csv --max-iters 3000 --log log.csv --out", "t.csv"),
+    "simulate": ("simulate --schedule s.sched --out", "s.sched"),
+    "sample": ("sample --schedule s.sched --count 10 --seed 1 --format bits --out", "s.sched"),
+    "analyze": (
+        "analyze --samples x.txt --target file:t.csv --schedule s.sched --quantize-deg 0.25 --out",
+        "s.sched",
+    ),
+}
+REFUSALS = [
+    *(
+        pytest.param(f"{argv} {out}", error, id=f"{command}-{case}")
+        for command, (argv, source) in GUARDED.items()
+        for case, out, error in [
+            ("fifo", "fifo", "fifo exists and is not a regular file"),
+            ("link-to-fifo", "link", "link exists and is not a regular file"),
+            ("missing-dir", "nodir/o", "[Errno 2] No such file or directory: 'nodir/o'"),
+            ("input", f"./{source}", f"{source} and ./{source} name the same file"),
+        ]
+    ),
+    pytest.param(f"{GUARDED['train'][0]} ./log.csv", "./log.csv and log.csv name the same file",
+                 id="train-two-outputs"),
+    pytest.param(f"{GUARDED['sample'][0]} s", "s.meta exists and is not a regular file",
+                 id="sample-sidecar-link-to-fifo"),
+]
+
+
+@pytest.mark.parametrize("argv, error", REFUSALS)
+def test_every_refused_output_is_refused_before_any_work(
+    argv, error, workspace, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the output is refused after the work it should spare")
+
+    for name in ("read_schedule", "iter_indices", "read_distribution"):
+        monkeypatch.setattr(qwrng.fileio, name, unreached)
+    for name in ("target_from_spec", "train"):
+        monkeypatch.setattr(qwrng.cli, name, unreached)
+    (tmp_path / "s.sched").write_bytes(workspace["schedule"].read_bytes())
+    (tmp_path / "x.txt").write_bytes(b"0\n1\n2\n3\n4\n")
+    (tmp_path / "t.csv").write_text(qwrng.fileio.distribution_to_text(uniform_target(4)))
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "link").symlink_to("fifo")
+    (tmp_path / "s.meta").symlink_to("fifo")  # the sidecar of a bits file "s"
+
+    def snapshot():
+        return {
+            p.name: os.readlink(p) if p.is_symlink() else p.is_fifo() or p.read_bytes()
+            for p in tmp_path.iterdir()
+        }
+
+    before = snapshot()
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert snapshot() == before
+
+
 #: Peak of the allocations that tracemalloc sees (numpy buffers included)
 #: allowed to one `sample` or `analyze` of 2*10^6 outcomes.  Holding them all
 #: takes ~80 MB; one chunk or block takes well under 1 MB.
@@ -778,7 +849,7 @@ def test_non_finite_gaussian_mean_is_one_error_line(mu, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mu, sigma", [("0", "1e-200"), ("1e308", "1e-308")])
+@pytest.mark.parametrize("mu, sigma", [("0.5", "1e-200"), ("1e308", "1e-308")])
 def test_gaussian_without_a_finite_weight_is_one_error_line(mu, sigma, tmp_path, capsys):
     out = tmp_path / "s.txt"
     argv = ["train", "--steps", "4", "--target", f"gaussian:{mu},{sigma}", "--out", str(out)]

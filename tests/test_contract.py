@@ -2,8 +2,9 @@
 
 Each example takes one command's valid argv, changes at most one number in
 its flags (a sign, 0, nan, inf, 1e308 or a 20-digit integer) and at most
-one of its paths (a missing directory, a directory, a FIFO, a symlink, or a
-file named twice), and runs :func:`qwrng.cli.main` in-process.  Whatever the
+one of its paths (a missing directory, a directory, a FIFO, a symlink, a
+file named twice, or an input cut short or with one line repeated), and
+runs :func:`qwrng.cli.main` in-process.  Whatever the
 input, the exit code is 0, 1 or 2 and no temporary file is left; on 1,
 stderr is one ``error:`` line that names no temporary file, no warning was
 issued, and every file is as it was before the run; on 0 or 2, the only
@@ -20,6 +21,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,9 +59,12 @@ INPUTS = {
     "target": ("in.csv", distribution_to_text(uniform_target(4))),
 }
 OUTPUTS = {"out": "out", "log": "log.csv"}
+#: A cut in the target's row for site 0, after its position and before its comma.
+TARGET_CUT = INPUTS["target"][1].index("\n0,") + 2
 #: What may stand at a path; a FIFO as an input would block its reader.
-INPUT_KINDS = ["missing-dir", "directory", "symlink", "dangling-symlink", "twice"]
-OUTPUT_KINDS = [*INPUT_KINDS, "fifo", "symlink-to-fifo"]
+PATH_KINDS = ["missing-dir", "directory", "symlink", "dangling-symlink", "twice"]
+INPUT_KINDS = [*PATH_KINDS, "truncated", "duplicated-row"]
+OUTPUT_KINDS = [*PATH_KINDS, "fifo", "symlink-to-fifo"]
 
 
 class Plan(NamedTuple):
@@ -70,6 +75,7 @@ class Plan(NamedTuple):
     kind: str | None = None
     other: str | None = None
     old: bool = False  # whether the outputs exist before the run
+    at: int = 0  # where a truncated input is cut, or which line a duplicated row repeats
 
 
 def _numbers(name: str):
@@ -91,12 +97,17 @@ def plans(draw):
     number = draw(st.none() | st.sampled_from([f for f in fields if f in NUMBERS]))
     path = draw(st.none() | st.sampled_from(paths))
     kind = other = None
+    at = 0
     if path is not None:
         kind = draw(st.sampled_from(OUTPUT_KINDS if path in OUTPUTS else INPUT_KINDS))
         if kind == "twice":
             other = draw(st.sampled_from([p for p in paths if p != path]))
+        elif kind == "truncated":
+            at = draw(st.integers(0, len(INPUTS[path][1]) - 1))
+        elif kind == "duplicated-row":
+            at = draw(st.integers(0, INPUTS[path][1].count("\n") - 1))
     value = None if number is None else draw(_numbers(number))
-    return Plan(command, number, value, path, kind, other, draw(st.booleans()))
+    return Plan(command, number, value, path, kind, other, draw(st.booleans()), at)
 
 
 def _lay_out(root: Path, plan: Plan) -> list[str]:
@@ -114,6 +125,11 @@ def _lay_out(root: Path, plan: Plan) -> list[str]:
         paths[plan.path] = root / "missing" / odd.name
     elif plan.kind == "twice":
         paths[plan.path] = paths[plan.other]
+    elif plan.kind == "truncated":
+        odd.write_bytes(odd.read_bytes()[: plan.at])
+    elif plan.kind == "duplicated-row":
+        lines = odd.read_bytes().splitlines(keepends=True)
+        odd.write_bytes(b"".join(lines[: plan.at + 1] + lines[plan.at :]))
     elif plan.kind is not None:
         (root / "elsewhere").write_bytes(odd.read_bytes() if odd.exists() else b"elsewhere\n")
         odd.unlink(missing_ok=True)
@@ -160,7 +176,10 @@ def _run(argv: list[str]) -> tuple[int, str, list[warnings.WarningMessage]]:
 @example(Plan("sample-bits", number="count", value=str(10**18), old=True))
 @example(Plan("analyze", path="out", kind="twice", other="samples"))
 @example(Plan("simulate", path="out", kind="twice", other="schedule", old=True))
-@example(Plan("analyze", path="out", kind="missing-dir"))  # the chi-square warns, then fails
+@example(Plan("analyze", path="out", kind="missing-dir"))  # refused before the chi-square warns
+@example(Plan("simulate", path="schedule", kind="duplicated-row", at=10))  # its last row
+@example(Plan("analyze", path="samples", kind="duplicated-row", at=3))
+@example(Plan("train-file", path="target", kind="truncated", at=TARGET_CUT))
 @given(plans())
 def test_every_argv_keeps_the_exit_code_and_file_contract(tmp_path_factory, plan):
     root = tmp_path_factory.mktemp("argv")
@@ -179,3 +198,17 @@ def test_every_argv_keeps_the_exit_code_and_file_contract(tmp_path_factory, plan
         after = _snapshot(root)
         assert _run(argv)[0] == code, argv
         assert _snapshot(root) == after, argv
+
+
+@pytest.mark.parametrize(
+    "plan, code, err",
+    [
+        (Plan("simulate", path="schedule", kind="duplicated-row", at=10), 1,
+         "error: duplicate row for (step, position) (4, 3)\n"),
+        (Plan("analyze", path="samples", kind="duplicated-row", at=3), 0, ""),
+        (Plan("train-file", path="target", kind="truncated", at=TARGET_CUT), 1,
+         "error: line 4: expected 'position,probability', got '0'\n"),
+    ],
+)
+def test_a_cut_or_repeated_input_gives_its_pinned_outcome(tmp_path, plan, code, err):
+    assert _run(_lay_out(tmp_path, plan))[:2] == (code, err)

@@ -1,6 +1,7 @@
 """The package surface: ``qwrng.__all__`` lists exactly the public names it
 binds, the names the benchmark's tracer and workloads call still exist, only
-``analyze`` imports scipy, and only ``walk`` looks inside a forward pass."""
+``analyze`` imports scipy, only ``walk`` looks inside a forward pass, and
+only ``fileio`` touches the file system."""
 
 import ast
 import hashlib
@@ -146,3 +147,20 @@ def test_only_walk_unpacks_a_forward_pass():
             loaded = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             if loaded and node.id in kept - {"_"}:
                 assert id(node) in called, f"{path.name}:{node.lineno}: {node.id} looked into"
+
+
+def test_only_fileio_touches_the_file_system():
+    # one module reads, writes and checks paths, so one guard sees every output
+    banned = {"os", "shutil", "stat", "pathlib"}
+    for path in sorted(Path(qwrng.__file__).parent.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                modules = []
+            assert not banned & {m.split(".")[0] for m in modules}, f"{path.name}:{node.lineno}"
+            assert _callee(node) != "open", f"{path.name}:{node.lineno}: calls open"

@@ -114,8 +114,8 @@ CASES = {
         "sigma must be positive and finite, got inf",
     ),
     "gaussian whose sigma squared underflows": (
-        lambda: gaussian_target(4, mu=0.0, sigma=1e-200),
-        "gaussian mu=0.0, sigma=1e-200 gives no finite weight on a 4-step walk",
+        lambda: gaussian_target(4, mu=0.5, sigma=1e-200),  # off every site
+        "gaussian mu=0.5, sigma=1e-200 gives no finite weight on a 4-step walk",
     ),
     "quantize at an infinite resolution": (
         lambda: quantize_ratio(0.5, float("inf")),

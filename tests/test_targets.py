@@ -76,9 +76,20 @@ class TestGaussian:
             for mu, sigma in [(1e200, 1e200), (1e160, 1e155)]:
                 assert gaussian_target(4, mu, sigma).values.tolist() == [0.2] * 5
         # no scaling gives these a finite weight
-        for mu, sigma in [(0.0, 1e-200), (1e200, 1.0)]:
+        for mu, sigma in [(0.5, 1e-200), (1e200, 1.0)]:
             with pytest.raises(ValueError, match="gives no finite weight"):
                 gaussian_target(4, mu, sigma)
+
+    def test_a_sigma_whose_double_square_underflows_gives_a_point_mass_on_mu(self):
+        # 2 sigma^2 is 0, so unscaled the site at mu would weigh 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_target(4, 0.0, 1e-200).values.tolist() == [0, 0, 1, 0, 0]
+            assert gaussian_target(4, 2.0, 1e-170).values.tolist() == [0, 0, 0, 1, 0]
+        # off the lattice even the nearest site is infinitely far in units of sigma
+        message = "gaussian mu=0.5, sigma=1e-200 gives no finite weight on a 4-step walk"
+        with pytest.raises(ValueError, match=message):
+            gaussian_target(4, 0.5, 1e-200)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
