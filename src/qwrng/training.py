@@ -8,12 +8,13 @@ minus target.
 :func:`train` decides once how it holds the ratios.  Each iteration is one
 forward pass with residual, loss, fidelity and stop check, then the sweep and
 the update, clipped to [0, 1].  A walk of at most
-:data:`qwrng.walk.FLOAT_PASS_MAX_STEPS` steps runs the whole iteration on
-Python floats, where numpy's fixed cost per call would dominate: the ratios,
-probabilities, residual and gradient stay lists, and one schedule and one
-distribution are built at the end.  A longer walk runs it on flat arrays.
-Both give the same bytes, because the float code keeps three of numpy's
-behaviours:
+:data:`FLOAT_PASS_MAX_STEPS` steps runs the whole iteration on Python floats,
+where numpy's fixed cost per call would dominate: the ratios, probabilities,
+residual and gradient stay lists, which :func:`qwrng.walk._forward` walks on
+its float pass, and one schedule and one distribution are built at the end.
+A longer walk runs it on flat arrays.  The golden jobs ``n13-float-pass`` and
+``n14-array-pass`` pin the constant.  Both loops give the same bytes, because
+the float code keeps three of numpy's behaviours:
 
 - sums take ``np.add.reduce``'s pairwise order (:func:`_pairwise_sum`), not
   the sequential one, which differs from 8 terms on;
@@ -28,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinSchedule, Distribution, WalkState, _forward, _pass_values
+from .walk import CoinSchedule, Distribution, WalkState, _forward
+
+#: Longest walk that :func:`train` runs on Python floats.
+FLOAT_PASS_MAX_STEPS = 13
 
 
 def _check_same_support(y, target: Distribution) -> None:
@@ -51,7 +55,7 @@ def _pairwise_sum(terms: list[float]) -> float:
     bit: numpy's pairwise sum, added to 0.0.  Below 8 terms it adds them in
     order; from 8 on it keeps 8 accumulators over strides of 8, combines them
     as a tree and adds the tail in order.  (Past 128 numpy splits the terms
-    in two; the float loop sums at most 14.)"""
+    in two; the float loop sums at most ``FLOAT_PASS_MAX_STEPS + 1``.)"""
     n = len(terms)
     if n < 8:
         total = 0.0
@@ -192,11 +196,11 @@ def train(
     if start is None:
         start = CoinSchedule.constant(steps)
     _check_same_support(start, target)
-    ratios = _pass_values(start.values, steps)
-    if isinstance(ratios, list):  # the float pass: every iteration stays on Python floats
-        goal, score, descend = target.values.tolist(), _score_floats, _descend_floats
+    if steps <= FLOAT_PASS_MAX_STEPS:  # the float pass: every iteration stays on Python floats
+        ratios, goal = start.values.tolist(), target.values.tolist()
+        score, descend = _score_floats, _descend_floats
     else:
-        goal, score, descend = target.values, _score_rows, _descend_rows
+        ratios, goal, score, descend = start.values, target.values, _score_rows, _descend_rows
     trace: list[tuple[int, float, float]] = []
     k = 0
     while True:

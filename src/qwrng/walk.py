@@ -27,17 +27,12 @@ where their results land.  A stack of schedules (ratio arrays of shape
 would alone.  :func:`_forward` also returns the pass's adjoint sweep, which
 maps a cotangent ``v`` over one walk's probabilities to ``J^T v``.
 
-For a short walk the array pass's six ufunc calls per step cost more than
-their arithmetic, so one unbatched walk of at most
-:data:`FLOAT_PASS_MAX_STEPS` steps runs the float pass: the same rows and
-float operations in the same order, on Python lists.  Both passes give the
-same bytes, by the rules in :mod:`qwrng.training`'s docstring; tests hold
-them to that.  :func:`_forward` dispatches on the type of its ratios: a
-list takes the float pass and comes back as lists, so the trainer's whole
-iteration stays on floats; :func:`_pass_values` gives an array the form its
-length takes.  ``robustness_sweep``'s batches, ``loss_gradient`` and
-:func:`run_walk`, whose caller reads the rows, always take arrays.  The
-golden jobs ``n13-float-pass`` and ``n14-array-pass`` pin the constant.
+:func:`_forward` dispatches on the container of its ratios.  An array takes
+the array pass; a list is one walk for the float pass, which does the same
+rows and float operations in the same order on Python lists and hands back
+its probabilities and gradient as lists.  Both passes give the same bytes,
+by the rules in :mod:`qwrng.training`'s docstring, whose trainer decides
+which pass a walk takes.
 """
 
 from __future__ import annotations
@@ -66,9 +61,6 @@ NAMED_COIN_VECTORS: dict[str, tuple[complex, complex]] = {
     "circ-left": (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)),
     "circ-right": (1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)),
 }
-
-#: Longest walk that :func:`_pass_values` hands to the float pass.
-FLOAT_PASS_MAX_STEPS = 13
 
 _TWO_PI = 2.0 * math.pi
 
@@ -260,13 +252,6 @@ def _probs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _check_origin(initial: WalkState) -> None:
     if initial.step != 0 or initial.positions() != [0]:
         raise ValueError("the walk requires a step-0 state located at the origin")
-
-
-def _pass_values(values: np.ndarray, steps: int) -> np.ndarray | list[float]:
-    """``values`` in the form of the pass that walks them: one walk of at most
-    :data:`FLOAT_PASS_MAX_STEPS` steps as a list of Python floats for the
-    float pass, any other ratio array as it is."""
-    return values.tolist() if values.ndim == 1 and steps <= FLOAT_PASS_MAX_STEPS else values
 
 
 def _forward(values: np.ndarray | list[float], steps: int, initial: WalkState):

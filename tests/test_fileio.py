@@ -101,6 +101,15 @@ class TestScheduleFiles:
         with pytest.raises(ValueError, match="line 2"):
             schedule_from_text("steps=1\n1;0;0.5\n")
 
+    @pytest.mark.parametrize("row", ["2,1,0.5,7", "2,1,abc", "2,1,", "2,1,0x1p-1"])
+    def test_a_bad_ratio_in_the_writers_layout_fails_as_the_general_reader_does(self, row):
+        # every key prefix is the writer's, so only the ratio stops the fast path
+        text = schedule_to_text(CoinSchedule.constant(3)).replace("2,1,0.5\n", row + "\n")
+        assert text.splitlines()[3] == row
+        with pytest.raises(ValueError) as err:
+            schedule_from_text(text)
+        assert str(err.value) == f"line 4: expected 'step,position,r', got '{row}'"
+
     def test_duplicate_row_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             schedule_from_text("steps=1\n1,0,0.5\n1,0,0.6\n")

@@ -33,7 +33,10 @@ from qwrng.fileio import (
     trace_to_text,
     write_schedule,
 )
-from qwrng.walk import FLOAT_PASS_MAX_STEPS, _forward
+from qwrng.training import FLOAT_PASS_MAX_STEPS
+from qwrng.walk import _forward
+
+from util import golden_ratios
 
 
 def _sha(data: str | bytes) -> str:
@@ -43,11 +46,7 @@ def _sha(data: str | bytes) -> str:
 
 
 def _schedule(steps: int = 6) -> CoinSchedule:
-    # golden-ratio offsets plus the exact edges 0 and 1, no RNG involved
-    size = steps * (steps + 1) // 2
-    values = [((k + 1) * 0.6180339887498949) % 1.0 for k in range(size)]
-    values[3], values[size - 4] = 0.0, 1.0
-    return CoinSchedule(steps, values)
+    return CoinSchedule(steps, golden_ratios(steps))
 
 
 def _distribution() -> Distribution:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qwrng import (
+    NAMED_COIN_VECTORS,
     CoinSchedule,
     Distribution,
     initial_state,
@@ -16,8 +17,9 @@ from qwrng.oracle import (
     dense_walk,
     fd_gradient,
 )
+from qwrng.walk import _forward
 
-from util import random_coin_vector, random_distribution, random_schedule
+from util import golden_ratios, random_coin_vector, random_distribution, random_schedule
 
 
 class TestDenseWalk:
@@ -51,6 +53,42 @@ class TestDenseWalk:
     def test_hadamard_helper(self):
         d = dense_walk(CoinSchedule.constant(4, 0.5), (1.0, 0.0))
         assert abs(d.probs[-2] - 10 / 16) <= 1e-12
+
+
+def _reference_probs(ratios, steps, coin_vector):
+    """Site probabilities, ascending, of a walk on a dict of 40-digit
+    amplitudes: at every site the coin [[sqrt(r), sqrt(1-r)], [sqrt(1-r),
+    -sqrt(r)]] from the exact float ratio, then L moves one site left and R
+    one site right.  Ratios come in step order, ascending position within a
+    step; nothing from the package runs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        state, ratio = {0: [mpmath.mpc(c) for c in coin_vector]}, iter(ratios)
+        for t in range(1, steps + 1):
+            moved = {m: [mpmath.mpc(0), mpmath.mpc(0)] for m in range(-t, t + 1, 2)}
+            for m in range(-(t - 1), t, 2):
+                r = mpmath.mpf(next(ratio))
+                a, b = mpmath.sqrt(r), mpmath.sqrt(1 - r)
+                left, right = state[m]
+                moved[m - 1][0] = a * left + b * right
+                moved[m + 1][1] = b * left - a * right
+            state = moved
+        return [float(abs(left) ** 2 + abs(right) ** 2) for left, right in state.values()]
+
+
+class TestReferenceWalk:
+    """Past the dense oracle's cap, every site against a 40-digit walk."""
+
+    @pytest.mark.parametrize("start", ["circ-left", "L"])
+    @pytest.mark.parametrize("steps, as_list", [(13, True), (13, False), (40, False), (64, False)])
+    def test_forward_matches_a_40_digit_walk(self, steps, as_list, start):
+        vector, ratios = NAMED_COIN_VECTORS[start], golden_ratios(steps)
+        reference = np.array(_reference_probs(ratios, steps, vector))
+        assert abs(reference.sum() - 1.0) <= 1e-15
+        values = ratios if as_list else np.array(ratios)  # a list takes the float pass
+        probs = np.array(_forward(values, steps, initial_state(vector))[1])
+        assert probs.shape == reference.shape
+        assert np.max(np.abs(probs - reference)) <= 1e-15
 
 
 class TestFiniteDifferenceGradient:

@@ -1,7 +1,8 @@
 """The package surface: ``qwrng.__all__`` lists exactly the public names it
 binds, the names the benchmark's tracer and workloads call still exist, only
-``analyze`` imports scipy, only ``walk`` looks inside a forward pass, and
-only ``fileio`` touches the file system."""
+``analyze`` imports scipy, only ``walk`` looks inside a forward pass, only
+``training`` names the rule that picks a pass, and only ``fileio`` touches
+the file system."""
 
 import ast
 import hashlib
@@ -147,6 +148,17 @@ def test_only_walk_unpacks_a_forward_pass():
             loaded = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             if loaded and node.id in kept - {"_"}:
                 assert id(node) in called, f"{path.name}:{node.lineno}: {node.id} looked into"
+
+
+def test_only_training_names_the_float_pass_rule():
+    # walk runs whichever pass its ratios' container asks for; train decides
+    for path in sorted(Path(qwrng.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            if path.name != "training.py":
+                assert "FLOAT_PASS_MAX_STEPS" not in named, f"{path.name}:{node.lineno}"
+            defines = isinstance(node, ast.FunctionDef) and node.name == "_pass_values"
+            assert not defines, f"{path.name}:{node.lineno}: defines _pass_values"
 
 
 def test_only_fileio_touches_the_file_system():

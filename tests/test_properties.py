@@ -30,8 +30,8 @@ from qwrng import (
     measure,
     run_walk,
     train,
+    training,
     uniform_target,
-    walk,
 )
 from qwrng.fileio import (
     _columns,
@@ -49,15 +49,8 @@ from qwrng.fileio import (
 )
 from qwrng.oracle import MAX_DENSE_STEPS, dense_walk, fd_gradient
 from qwrng.sampling import _CHUNK, ChunkedStream, build_sampler, draw, encode_bits, pack_fields
-from qwrng.walk import (
-    FLOAT_PASS_MAX_STEPS,
-    _forward,
-    _forward_floats,
-    _forward_rows,
-    _gradient_floats,
-    _gradient_rows,
-    _pass_values,
-)
+from qwrng.training import FLOAT_PASS_MAX_STEPS
+from qwrng.walk import _forward, _forward_floats, _forward_rows, _gradient_floats, _gradient_rows
 from util import PROPERTY
 
 
@@ -87,6 +80,11 @@ def distributions(draw, steps):
 EDGE_RATIOS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+def _train_form(values, steps):
+    """One walk's ratios in the form ``train`` hands them to ``_forward``."""
+    return values.tolist() if steps <= FLOAT_PASS_MAX_STEPS else values
+
+
 @PROPERTY
 @given(schedules(MAX_DENSE_STEPS, EDGE_RATIOS), coin_vectors())
 def test_walk_matches_dense_oracle_and_keeps_norm(sched, v):
@@ -110,7 +108,7 @@ def test_batched_walk_rows_equal_their_walks_alone(data, steps, rows, v):
     for b, row in enumerate(values):
         (_, _, row_left, row_right), row_probs = _forward_rows(row, steps, initial)
         assert probs[b].tobytes() == row_probs.tobytes()
-        alone = _forward(_pass_values(row, steps), steps, initial)[1]  # the pass it takes
+        alone = _forward(_train_form(row, steps), steps, initial)[1]  # the pass it takes
         assert np.array(alone).tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
@@ -135,7 +133,7 @@ def test_batched_walk_rows_equal_their_walks_alone_past_the_oracle_cap(steps, ro
     for b, row in enumerate(values):
         (_, _, row_left, row_right), row_probs = _forward_rows(row, steps, initial)
         assert probs[b].tobytes() == row_probs.tobytes()
-        alone = _forward(_pass_values(row, steps), steps, initial)[1]  # the pass it takes
+        alone = _forward(_train_form(row, steps), steps, initial)[1]  # the pass it takes
         assert np.array(alone).tobytes() == row_probs.tobytes()
         assert left[:, b].tobytes() == row_left.tobytes()
         assert right[:, b].tobytes() == row_right.tobytes()
@@ -155,7 +153,7 @@ def test_two_batch_axes_keep_their_order(steps, seed, v):
     for i, j in np.ndindex(2, 3):
         (_, _, row_left, row_right), row_probs = _forward_rows(values[i, j], steps, initial)
         assert probs[i, j].tobytes() == row_probs.tobytes()
-        alone = _forward(_pass_values(values[i, j], steps), steps, initial)[1]  # the pass it takes
+        alone = _forward(_train_form(values[i, j], steps), steps, initial)[1]  # the pass it takes
         assert np.array(alone).tobytes() == row_probs.tobytes()
         assert left[:, i, j].tobytes() == row_left.tobytes()
         assert right[:, i, j].tobytes() == row_right.tobytes()
@@ -214,7 +212,7 @@ def _train_both_loops(initial, target, config, start):
     each run's trace, final schedule and output bytes, and ``converged``."""
     reports = [train(initial, target, config, start)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "FLOAT_PASS_MAX_STEPS", 0)
+        patch.setattr(training, "FLOAT_PASS_MAX_STEPS", 0)
         reports.append(train(initial, target, config, start))
     return [
         (

@@ -334,7 +334,7 @@ class TestFloatLoop:
         target = qwrng.gaussian_target(steps, 0.5, 2.0)
         return train(circ_left, target, config, CoinSchedule.random(steps, 1))
 
-    @pytest.mark.parametrize("steps", [4, qwrng.walk.FLOAT_PASS_MAX_STEPS])
+    @pytest.mark.parametrize("steps", [4, training.FLOAT_PASS_MAX_STEPS])
     def test_a_short_walk_trains_without_the_array_pass_or_array_scores(
         self, circ_left, monkeypatch, steps
     ):
@@ -345,4 +345,4 @@ class TestFloatLoop:
 
     def test_a_longer_walk_trains_without_the_float_pass(self, circ_left, monkeypatch):
         self._forbid(monkeypatch, qwrng.walk, "_forward_floats")
-        assert len(self._train(circ_left, qwrng.walk.FLOAT_PASS_MAX_STEPS + 1).iterations) == 5
+        assert len(self._train(circ_left, training.FLOAT_PASS_MAX_STEPS + 1).iterations) == 5

@@ -17,14 +17,8 @@ from qwrng import (
 )
 from qwrng.fileio import schedule_from_text
 from qwrng.oracle import dense_walk
-from qwrng.walk import (
-    FLOAT_PASS_MAX_STEPS,
-    _forward,
-    _gradient_floats,
-    _gradient_rows,
-    _pass_values,
-    schedule_keys,
-)
+from qwrng.training import FLOAT_PASS_MAX_STEPS
+from qwrng.walk import _forward, _gradient_floats, _gradient_rows, schedule_keys
 
 from util import random_coin_vector, random_schedule
 
@@ -235,29 +229,34 @@ class TestRunWalk:
 
 
 class TestPassChoice:
-    """One walk of at most FLOAT_PASS_MAX_STEPS steps runs on Python floats,
-    longer and batched walks on arrays; each pass hands back its own sweep."""
+    """The ratios' container picks the pass: a list is one walk for the float
+    pass, an array of any shape takes the array pass, and each pass hands back
+    its own sweep.  ``train`` hands a walk of at most FLOAT_PASS_MAX_STEPS
+    steps over as a list."""
 
     @staticmethod
-    def _sweep(shape, steps, initial):
-        sweep, _ = _forward(_pass_values(np.full(shape, 0.5), steps), steps, initial)
-        return sweep.func
+    def _sweep(values, steps, initial):
+        return _forward(values, steps, initial)[0].func
 
     @pytest.mark.parametrize("steps", [0, 1, FLOAT_PASS_MAX_STEPS])
     def test_one_short_walk_runs_on_floats_and_a_batch_on_arrays(self, circ_left, steps):
         size = steps * (steps + 1) // 2
-        assert self._sweep(size, steps, circ_left) is _gradient_floats
-        assert self._sweep((1, size), steps, circ_left) is _gradient_rows
+        assert self._sweep([0.5] * size, steps, circ_left) is _gradient_floats
+        for shape in (size, (1, size), (2, 3, size)):
+            assert self._sweep(np.full(shape, 0.5), steps, circ_left) is _gradient_rows
 
     def test_a_longer_walk_runs_on_arrays(self, circ_left):
         steps = FLOAT_PASS_MAX_STEPS + 1
-        assert self._sweep(steps * (steps + 1) // 2, steps, circ_left) is _gradient_rows
+        size = steps * (steps + 1) // 2
+        for shape in (size, (1, size)):
+            assert self._sweep(np.full(shape, 0.5), steps, circ_left) is _gradient_rows
 
     @pytest.mark.parametrize("steps", [2, FLOAT_PASS_MAX_STEPS + 1])
     def test_both_passes_require_an_origin_start(self, steps):
-        shifted = one_step((1.0, 0.0), 1.0)
-        with pytest.raises(ValueError, match="origin"):
-            _forward(_pass_values(np.full(steps * (steps + 1) // 2, 0.5), steps), steps, shifted)
+        shifted, values = one_step((1.0, 0.0), 1.0), np.full(steps * (steps + 1) // 2, 0.5)
+        for form in (values.tolist(), values):
+            with pytest.raises(ValueError, match="origin"):
+                _forward(form, steps, shifted)
 
 
 class TestMeasure:

@@ -23,6 +23,14 @@ def random_schedule(rng: np.random.Generator, steps: int, lo: float = 0.0, hi: f
     return qwrng.CoinSchedule(steps, [float(rng.uniform(lo, hi)) for _ in range(size)])
 
 
+def golden_ratios(steps: int) -> list[float]:
+    """Golden-ratio offsets plus the exact edges 0 and 1, no RNG involved."""
+    size = steps * (steps + 1) // 2
+    values = [((k + 1) * 0.6180339887498949) % 1.0 for k in range(size)]
+    values[3], values[size - 4] = 0.0, 1.0
+    return values
+
+
 def random_distribution(rng: np.random.Generator, steps: int) -> qwrng.Distribution:
     w = rng.uniform(0.05, 1.0, size=steps + 1)
     w /= w.sum()
