@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from qwrng import (
     uniform_target,
 )
 from qwrng.analysis import _BATCH_SLOTS
+from qwrng.walk import _triangle
 
 from util import PROPERTY, random_coin_vector, random_schedule
 
@@ -361,13 +363,14 @@ class TestRobustnessSweep:
 
 
 def _sweep_one_walk_at_a_time(schedule, initial, target, magnitudes, trials, seed):
-    """The sweep as one perturbed schedule, walk and fidelity per trial."""
+    """The sweep as one perturbed schedule, walk and fidelity per trial.
+    A magnitude of -0.0 draws as 0.0 does (numpy refuses ``uniform(0.0, -0.0)``)."""
     points = []
     for i, d in enumerate(magnitudes):
         fids = np.empty(trials)
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i, t]))
-            offsets = rng.uniform(-d, d, size=schedule.values.size)
+            offsets = rng.uniform(-abs(d), abs(d), size=schedule.values.size)
             noisy = CoinSchedule(schedule.steps, np.clip(schedule.values + offsets, 0.0, 1.0))
             fids[t] = fidelity(measure(run_walk(initial, noisy)), target)
         points.append((d, float(fids.mean()), float(fids.min())))
@@ -399,6 +402,85 @@ class TestSweepEqualsOneWalkAtATime:
         sched, state = CoinSchedule.random(steps, 3), initial_state(NAMED_COIN_VECTORS["circ-left"])
         target = measure(run_walk(state, sched))
         self.check(sched, state, target, [0.0, 0.01], 2 * rows + 1, 8)
+
+    def test_a_batch_spanning_three_magnitudes(self):
+        # 7 walks a batch at n = 256: the first holds the zero walk, 0.01's
+        # five trials and 0.02's first, the second 0.02's other four
+        steps = 256
+        assert _BATCH_SLOTS // _triangle(steps + 1) == 7
+        sched, state = CoinSchedule.random(steps, 4), initial_state(NAMED_COIN_VECTORS["circ-left"])
+        target = measure(run_walk(state, sched))
+        self.check(sched, state, target, [0.0, 0.01, 0.02], 5, 9)
+
+    def test_negative_zero_magnitude(self, circ_left, uniform4, trained_uniform):
+        self.check(trained_uniform.final_schedule, circ_left, uniform4, [-0.0, 0.01], 6, 4)
+
+    def test_no_zero_magnitude(self, circ_left, uniform4, trained_uniform):
+        self.check(trained_uniform.final_schedule, circ_left, uniform4, [0.01, 0.03], 3, 6)
+
+
+class TestSweepCost:
+    """Passes, walks and generators of a sweep, and its peak memory."""
+
+    @staticmethod
+    def _inputs(steps):
+        sched, state = CoinSchedule.random(steps, 5), initial_state(NAMED_COIN_VECTORS["circ-left"])
+        return sched, state, measure(run_walk(state, sched))
+
+    @staticmethod
+    def _count(monkeypatch):
+        """The rows of each batch handed to ``_forward``, and the generators built."""
+        batches, generators = [], []
+        forward, default_rng = analysis._forward, np.random.default_rng
+
+        def counted_forward(values, steps, initial):
+            batches.append(len(values))
+            return forward(values, steps, initial)
+
+        def counted_rng(*args, **kwargs):
+            generators.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_forward", counted_forward)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        return batches, generators
+
+    @pytest.mark.parametrize(
+        "steps, magnitudes, trials, batches, generators",
+        [
+            # the workload's n = 16 sweep: magnitude 0 is one walk and draws
+            # nothing, and the other 75 walks share its batch
+            (16, [0.0, 0.01, 0.03, 0.1], 25, [76], 75),
+            (16, [-0.0, 0.01], 5, [6], 5),
+            (256, [0.0, 0.01, 0.02], 5, [7, 4], 10),
+        ],
+    )
+    def test_passes_and_generators(
+        self, monkeypatch, steps, magnitudes, trials, batches, generators
+    ):
+        inputs = self._inputs(steps)
+        seen, built = self._count(monkeypatch)
+        robustness_sweep(*inputs, magnitudes, trials, 12)
+        assert max(seen) <= _BATCH_SLOTS // _triangle(steps + 1)
+        assert (seen, len(built)) == (batches, generators)
+
+    def test_peak_memory_does_not_grow_with_the_batches(self):
+        # a batch's buffers are gone before the next batch's are built, and
+        # a full batch stays inside the figure _BATCH_SLOTS documents
+        steps = 64
+        rows = _BATCH_SLOTS // _triangle(steps + 1)
+        inputs = self._inputs(steps)
+        robustness_sweep(*inputs, [0.01], 1, 12)  # any first-call allocations are made
+        peaks = []
+        for trials in (rows, 3 * rows):
+            tracemalloc.start()
+            try:
+                robustness_sweep(*inputs, [0.01], trials, 12)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] <= 20 * 2**20
 
 
 class TestQuantizedScheduleFidelity:

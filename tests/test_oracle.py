@@ -55,12 +55,13 @@ class TestDenseWalk:
         assert abs(d.probs[-2] - 10 / 16) <= 1e-12
 
 
-def _reference_probs(ratios, steps, coin_vector):
+def _reference_probs(ratios, steps, coin_vector, exact=False):
     """Site probabilities, ascending, of a walk on a dict of 40-digit
     amplitudes: at every site the coin [[sqrt(r), sqrt(1-r)], [sqrt(1-r),
-    -sqrt(r)]] from the exact float ratio, then L moves one site left and R
-    one site right.  Ratios come in step order, ascending position within a
-    step; nothing from the package runs."""
+    -sqrt(r)]] from the exact ratio, then L moves one site left and R one
+    site right.  Ratios (floats or mpmath numbers) come in step order,
+    ascending position within a step; nothing from the package runs.  The
+    probabilities are floats, or with ``exact`` 40-digit mpmath numbers."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         state, ratio = {0: [mpmath.mpc(c) for c in coin_vector]}, iter(ratios)
@@ -73,7 +74,8 @@ def _reference_probs(ratios, steps, coin_vector):
                 moved[m - 1][0] = a * left + b * right
                 moved[m + 1][1] = b * left - a * right
             state = moved
-        return [float(abs(left) ** 2 + abs(right) ** 2) for left, right in state.values()]
+        probs = [abs(left) ** 2 + abs(right) ** 2 for left, right in state.values()]
+        return probs if exact else [float(p) for p in probs]
 
 
 class TestReferenceWalk:
@@ -89,6 +91,34 @@ class TestReferenceWalk:
         probs = np.array(_forward(values, steps, initial_state(vector))[1])
         assert probs.shape == reference.shape
         assert np.max(np.abs(probs - reference)) <= 1e-15
+
+
+class TestReferenceGradient:
+    """The adjoint gradient past the dense oracle's cap, against a 40-digit
+    central difference of the reference walk's loss."""
+
+    @pytest.mark.parametrize("start", ["circ-left", "L"])
+    def test_directional_gradient_matches_a_40_digit_difference(self, start):
+        mpmath = pytest.importorskip("mpmath")
+        steps = 64
+        vector, ratios = NAMED_COIN_VECTORS[start], golden_ratios(steps)
+        rng = np.random.default_rng(64)
+        goal = rng.uniform(0.1, 1.0, steps + 1)
+        goal /= goal.sum()
+        # interior ratios only: at r = 0 or 1 a central difference leaves [0, 1]
+        direction = rng.normal(size=len(ratios)) * np.array([0.0 < r < 1.0 for r in ratios])
+        with mpmath.workdps(40):
+            h = mpmath.mpf("1e-15")
+
+            def loss(sign):
+                moved = [mpmath.mpf(r) + sign * h * v for r, v in zip(ratios, direction.tolist())]
+                probs = _reference_probs(moved, steps, vector, exact=True)
+                return sum((p - mpmath.mpf(g)) ** 2 for p, g in zip(probs, goal)) / 2
+
+            reference = float((loss(1) - loss(-1)) / (2 * h))
+        schedule, target = CoinSchedule(steps, ratios), Distribution(steps, goal)
+        grad = loss_gradient(schedule, initial_state(vector), target)
+        assert abs(grad @ direction - reference) <= 1e-12 * abs(reference)
 
 
 class TestFiniteDifferenceGradient:
