@@ -6,11 +6,9 @@ Run with:  python demos/01_walk_basics.py
 import numpy as np
 
 from qwrng import (
-    CoinParams,
     CoinSchedule,
     NAMED_COIN_VECTORS,
     coin_from_ratio,
-    coin_matrix,
     initial_state,
     measure,
     run_walk,
@@ -26,12 +24,6 @@ print("unbiased coin (r = 0.5):")
 print(coin_from_ratio(0.5).real)
 print("\nfully biased coin (r = 1):")
 print(coin_from_ratio(1.0).real)
-
-# The same family comes out of the general three-phase rotation at the
-# package's fixed phases:
-theta = np.arccos(np.sqrt(0.5))
-print("\n|general coin - ratio coin| =",
-      np.max(np.abs(coin_matrix(CoinParams(theta)) - coin_from_ratio(0.5))))
 
 # --- a four-step unbiased walk ----------------------------------------------
 # Each step applies the coin at every occupied position, then shifts the L

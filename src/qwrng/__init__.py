@@ -42,12 +42,10 @@ from .training import (
 )
 from .walk import (
     NAMED_COIN_VECTORS,
-    CoinParams,
     CoinSchedule,
     Distribution,
     WalkState,
     coin_from_ratio,
-    coin_matrix,
     initial_state,
     measure,
     run_walk,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChiSquareReport",
-    "CoinParams",
     "CoinSchedule",
     "Distribution",
     "NAMED_COIN_VECTORS",
@@ -73,7 +70,6 @@ __all__ = [
     "chi_square_p_value",
     "chi_square_test",
     "coin_from_ratio",
-    "coin_matrix",
     "counts_by_position",
     "decode_bits",
     "dense_walk",

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import sampling
-from .walk import CoinSchedule, Distribution, _triangle, schedule_keys
+from .walk import CoinSchedule, Distribution, _schedule_key, _triangle, schedule_keys
 
 #: How far a user-supplied target may deviate from unit mass before it is
 #: rejected instead of renormalized.
@@ -268,7 +268,7 @@ def _schedule_from_rows(text: str) -> CoinSchedule:
     steps = int(match.group(1))
     size = _triangle(steps)
     mismatch = f"schedule key set does not match a {steps}-step walk"
-    if size > 2 * len(r):  # far too few rows: keeps the key list and the slot arithmetic small
+    if size > 2 * len(r):  # far too few rows: keeps the slot count and arithmetic small
         raise ValueError(f"{mismatch} ({len(r)} rows for {size} entries)")
     # numbers past int64 become object or float64 arrays; either lies outside the walk
     tt, mm = np.array(t), np.array(m)
@@ -277,7 +277,7 @@ def _schedule_from_rows(text: str) -> CoinSchedule:
     slots = np.where(inside, tt * (tt - 1) // 2 + (mm + tt - 1) // 2, -1).astype(np.int64)
     values = _place(
         r, slots, size, mismatch, "(step, position)",
-        lambda k: (t[k], m[k]), lambda j: schedule_keys(steps)[j],
+        lambda k: (t[k], m[k]), _schedule_key,
     )
     return CoinSchedule(steps, values)
 

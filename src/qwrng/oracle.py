@@ -12,7 +12,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .training import mse_loss
 from .walk import (
     CoinSchedule,
     Distribution,
@@ -108,8 +107,8 @@ def _loss_at(
 ) -> float:
     values = schedule.to_array()
     values[k] = value
-    shifted = CoinSchedule(schedule.steps, values)
-    return mse_loss(measure(run_walk(initial, shifted)), target)
+    probs = measure(run_walk(initial, CoinSchedule(schedule.steps, values))).values
+    return 0.5 * float(np.sum((probs - target.values) ** 2))  # train's loss, written out here
 
 
 def fd_gradient(
@@ -128,6 +127,8 @@ def fd_gradient(
     # ratio) inside the valid range
     if not (0.0 < h <= 1.0 / 3.0):
         raise ValueError(f"step size must lie in (0, 1/3], got {h}")
+    if target.steps != schedule.steps:  # a one-site target would broadcast
+        raise ValueError(f"target of {target.steps} steps for a {schedule.steps}-step walk")
     grad = np.empty(schedule.values.size)
     for k, r in enumerate(schedule.values.tolist()):
         if r < h:  # forward: (-3f(r) + 4f(r+h) - f(r+2h)) / 2h

@@ -3,10 +3,9 @@
 The walker lives on the integer lattice and carries a two-level coin with
 basis states L and R.  One step applies a 2x2 coin at every occupied
 position, then the conditional shift: the L component moves one site to the
-left, the R component one site to the right.  Coins are parameterized either
-by a three-phase rotation (:func:`coin_matrix`) or by a single bias ratio
-``r`` (:func:`coin_from_ratio`), where ``r = cos^2(theta)`` and ``r = 0.5``
-gives the Hadamard coin.
+left, the R component one site to the right.  Every coin is the real
+rotation ``[[sqrt(r), sqrt(1 - r)], [sqrt(1 - r), -sqrt(r)]]`` of one bias
+ratio ``r = cos^2(theta)`` (:func:`coin_from_ratio`); ``r = 0.5`` is Hadamard.
 
 After ``t`` steps only the sites ``-t, -t+2, ..., t`` can be occupied.  A
 state is slot-major: one float64 array of shape ``(t + 1, 2)`` per coin
@@ -38,7 +37,6 @@ which pass a walk takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -62,57 +60,11 @@ NAMED_COIN_VECTORS: dict[str, tuple[complex, complex]] = {
     "circ-right": (1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)),
 }
 
-_TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class CoinParams:
-    """Parameters of the general three-phase coin rotation.
-
-    ``theta`` is the mixing angle in ``[0, pi/2]``; ``diag_phase`` and
-    ``offdiag_phase`` are the phases attached to the cosine (diagonal) and
-    sine (off-diagonal) entries; ``global_phase`` multiplies the whole
-    matrix.  The defaults reduce the coin to the single-parameter family
-    used by the trainer: ``coin_matrix(CoinParams(theta))`` equals
-    ``coin_from_ratio(cos(theta)**2)``.
-    """
-
-    theta: float
-    diag_phase: float = -math.pi / 2.0
-    offdiag_phase: float = -math.pi / 2.0
-    global_phase: float = math.pi / 2.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.theta <= math.pi / 2.0):
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
-        for name in ("diag_phase", "offdiag_phase", "global_phase"):
-            object.__setattr__(self, name, getattr(self, name) % _TWO_PI)
-
-
-def coin_matrix(params: CoinParams) -> np.ndarray:
-    """Return the 2x2 unitary coin for the given rotation parameters.
-
-    The matrix is ``g * [[d*c, o*s], [-conj(o)*s, conj(d)*c]]`` with
-    ``c = cos(theta)``, ``s = sin(theta)`` and ``g, d, o`` the unit phases
-    of ``global_phase``, ``diag_phase``, ``offdiag_phase``.
-    """
-    c = math.cos(params.theta)
-    s = math.sin(params.theta)
-    g = np.exp(1j * params.global_phase)
-    d = np.exp(1j * params.diag_phase)
-    o = np.exp(1j * params.offdiag_phase)
-    return g * np.array(
-        [[d * c, o * s], [-np.conj(o) * s, np.conj(d) * c]], dtype=np.complex128
-    )
-
 
 def coin_from_ratio(ratio: float) -> np.ndarray:
-    """Return the real biased coin ``[[sr, sq], [sq, -sr]]``.
-
-    ``sr = sqrt(ratio)`` and ``sq = sqrt(1 - ratio)``; the ratio is the
-    weight with which each coin component keeps its own label.  Equal to
-    ``coin_matrix(CoinParams(arccos(sqrt(ratio))))``.
-    """
+    """Return the real biased coin ``[[sr, sq], [sq, -sr]]``, ``sr = sqrt(ratio)`` and
+    ``sq = sqrt(1 - ratio)``: ``[[cos, sin], [sin, -cos]]`` of theta at ``ratio = cos^2(theta)``.
+    The ratio is the weight with which each coin component keeps its own label."""
     if not (0.0 <= ratio <= 1.0):
         raise ValueError(f"coin bias ratio must lie in [0, 1], got {ratio}")
     sr = math.sqrt(ratio)
@@ -136,6 +88,12 @@ def schedule_keys(steps: int) -> list[tuple[int, int]]:
     """All (step, position) pairs a schedule for ``steps`` steps must cover:
     step ``t`` (1-based) covers the sites reachable after ``t - 1`` steps."""
     return [(t, m) for t in range(1, steps + 1) for m in support_positions(t - 1)]
+
+
+def _schedule_key(k: int) -> tuple[int, int]:
+    """``schedule_keys(steps)[k]`` for every ``steps`` that has an entry ``k``, in O(1)."""
+    t = (1 + math.isqrt(8 * k + 1)) // 2
+    return t, 2 * k + 1 - t * t  # site -(t - 1) + 2j of step t's entry j = k - t(t - 1)/2
 
 
 def _triangle(steps: int) -> int:
@@ -165,7 +123,7 @@ class CoinSchedule:
     def __init__(self, steps: int, ratios: Iterable[float]) -> None:
         values, bad = _frozen_array(ratios, _triangle(steps), "ratios", 1.0)
         if bad is not None:
-            key, r = schedule_keys(steps)[bad], float(values[bad])
+            key, r = _schedule_key(bad), float(values[bad])
             raise ValueError(f"ratio at (step, position) {key} is {r}, outside [0, 1]")
         self.steps, self.values = steps, values
 

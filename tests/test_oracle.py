@@ -166,3 +166,10 @@ class TestFiniteDifferenceGradient:
             fd_gradient(sched, initial_state((1.0, 0.0)), target, h=0.0)
         with pytest.raises(ValueError, match="step size"):
             fd_gradient(sched, initial_state((1.0, 0.0)), target, h=0.4)
+
+    @pytest.mark.parametrize("target_steps", [0, 1])
+    def test_target_of_another_walk_length_rejected(self, target_steps):
+        # a one-site target would broadcast against any walk's output
+        target = Distribution(target_steps, [1.0] + [0.0] * target_steps)
+        with pytest.raises(ValueError, match=f"target of {target_steps} steps for a 2-step walk"):
+            fd_gradient(CoinSchedule.constant(2, 0.5), initial_state((1.0, 0.0)), target)

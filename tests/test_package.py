@@ -1,5 +1,6 @@
 """The package surface: ``qwrng.__all__`` lists exactly the public names it
-binds, the names the benchmark's tracer and workloads call still exist, only
+binds, each of them has a caller outside the tests and demos, the names the
+benchmark's tracer and workloads call still exist, only
 ``analyze`` imports scipy, only ``walk`` looks inside a forward pass, only
 ``training`` names the rule that picks a pass, and only ``fileio`` touches
 the file system."""
@@ -37,6 +38,36 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _value_reads(path: Path) -> set[str]:
+    """Names and attribute names that ``path`` reads as values, outside annotations."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hints = set()
+    for node in ast.walk(tree):
+        for field in ("annotation", "returns"):
+            if getattr(node, field, None) is not None:
+                hints.update(id(n) for n in ast.walk(getattr(node, field)))
+    return {
+        getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        and id(n) not in hints
+    }
+
+
+#: Public names that no package module or benchmark file reads, and why each stays.
+CALLED_ONLY_BY_TESTS = {
+    "fd_gradient": "the finite-difference reference gate 2 and the oracle tests hold loss_gradient to",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that nothing outside the tests and demos reads is code kept for its own tests
+    modules = [p for p in Path(qwrng.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    bench = (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
+    read = set().union(*map(_value_reads, [*modules, *bench]))
+    read |= {fn for fn, _ in _load_tracer().SHIMS.values()}  # the tracer rebinds these by name
+    assert sorted(set(qwrng.__all__) - read) == sorted(CALLED_ONLY_BY_TESTS)
 
 
 def test_benchmark_tracer_still_fits_the_api():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,101 @@ class TestGuideTableLookup:
         first, rest = draw(sampler, count).outcomes, draw(sampler, 5).outcomes
         assert first.dtype == np.int64 and first.size == count
         assert np.array_equal(np.concatenate([first, rest]), np.searchsorted(sampler.cdf, u, side="right"))
+
+
+# --- an independent reference for the stream: PCG64 and its seeding in pure Python ---
+# numpy's generator is what the sampler runs; these rebuild its bytes from the
+# published algorithms, so a library change that moves them fails here.
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+#: PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(entropy: list[int], count: int) -> list[int]:
+    """``SeedSequence(entropy).generate_state(count, np.uint32)``: NEP 19's
+    pool of four 32-bit words, hashed and mixed from the entropy words."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(count):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _pcg64_raw(seed: int, count: int) -> list[int]:
+    """``PCG64(seed).random_raw(count)``: the seed's 32-bit words, least
+    significant first, seed four uint64 words, which set the LCG's state and
+    increment; each output steps the LCG and applies XSL-RR."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    w = _seed_words(entropy, 8)
+    s0, s1, i0, i1 = (w[2 * k] | w[2 * k + 1] << 32 for k in range(4))  # uint64, little-endian
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128  # from 0: step, add, step
+    raw = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        raw.append((word >> rot | word << (64 - rot)) & _MASK64)
+    return raw
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_uniforms(seed: int, count: int) -> np.ndarray:
+    """``Generator(PCG64(seed)).random(count)``: 53 high bits of each output, scaled."""
+    return np.array([(raw >> 11) * 2.0**-53 for raw in _pcg64_raw(seed, count)])
+
+
+class TestStreamReference:
+    def test_seed_words_match_the_seed_sequence_reference_data(self):
+        # from numpy's test_seed_sequence.py (O'Neill's C++ seed_seq_fe)
+        entropy = [3735928559, 195939070, 229505742, 305419896]
+        assert _seed_words(entropy, 4) == [3914649087, 576849849, 3593928901, 2229911004]
+
+    @pytest.mark.parametrize(
+        "seed, known",
+        [
+            # from numpy's pcg64-testset-1.csv and -2.csv: outputs 0, 1, 2 and 999
+            (0xDEADBEAF, {0: 0x60D24054E17A0698, 1: 0xD5E79D89856E4F12,
+                          2: 0xD254972FE64BD782, 999: 0xA5CB380B8DE10D10}),
+            (0x0, {0: 0xA30FEBCFD9C2825F, 1: 0x4510BDF882D9D721,
+                   2: 0xA7D3DA94ECDE8B8, 999: 0x6148329042F743B0}),
+        ],
+    )
+    def test_raw_outputs_match_numpy_known_answers(self, seed, known):
+        raw = _pcg64_raw(seed, 1000)
+        assert {k: raw[k] for k in known} == known
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2**32 + 5, 2**64 - 1])
+    def test_draw_is_the_reference_stream_looked_up(self, seed):
+        # counts on both sides of a chunk: the restart neither skips nor repeats a uniform
+        u = _reference_uniforms(seed, _CHUNK + 1)
+        for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+            sampler = build_sampler(LOOKUP_SOURCES["skewed"], seed)
+            expected = np.searchsorted(sampler.cdf, u[:count], side="right")
+            assert np.array_equal(draw(sampler, count).outcomes, expected), count
 
 
 class TestEncoding:

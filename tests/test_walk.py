@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,11 +7,9 @@ import pytest
 
 import qwrng
 from qwrng import (
-    CoinParams,
     CoinSchedule,
     Distribution,
     coin_from_ratio,
-    coin_matrix,
     initial_state,
     measure,
     run_walk,
@@ -18,47 +17,17 @@ from qwrng import (
 from qwrng.fileio import schedule_from_text
 from qwrng.oracle import dense_walk
 from qwrng.training import FLOAT_PASS_MAX_STEPS
-from qwrng.walk import _forward, _gradient_floats, _gradient_rows, schedule_keys
+from qwrng.walk import (
+    _forward,
+    _gradient_floats,
+    _gradient_rows,
+    _schedule_key,
+    schedule_keys,
+)
 
 from util import random_coin_vector, random_schedule
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-
-
-class TestCoinMatrix:
-    def test_default_phases_at_quarter_pi_give_hadamard(self):
-        c = coin_matrix(CoinParams(theta=math.pi / 4))
-        assert np.allclose(c, HADAMARD, atol=1e-12)
-        assert np.max(np.abs(c.imag)) <= 1e-12
-
-    def test_zero_angle_zero_phases_is_identity(self):
-        c = coin_matrix(
-            CoinParams(theta=0.0, diag_phase=0.0, offdiag_phase=0.0, global_phase=0.0)
-        )
-        assert np.allclose(c, np.eye(2), atol=1e-12)
-
-    def test_third_pi_matrix_values(self):
-        c = coin_matrix(CoinParams(theta=math.pi / 3))
-        expected = np.array([[0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, -0.5]])
-        assert np.allclose(c, expected, atol=1e-12)
-
-    def test_always_unitary(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            params = CoinParams(
-                theta=rng.uniform(0, math.pi / 2),
-                diag_phase=rng.uniform(0, 2 * math.pi),
-                offdiag_phase=rng.uniform(0, 2 * math.pi),
-                global_phase=rng.uniform(0, 2 * math.pi),
-            )
-            c = coin_matrix(params)
-            assert np.max(np.abs(c.conj().T @ c - np.eye(2))) <= 1e-12
-
-    def test_theta_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="theta"):
-            CoinParams(theta=-0.1)
-        with pytest.raises(ValueError, match="theta"):
-            CoinParams(theta=math.pi / 2 + 0.1)
 
 
 class TestCoinFromRatio:
@@ -81,12 +50,12 @@ class TestCoinFromRatio:
             c = coin_from_ratio(float(r))
             assert np.max(np.abs(c.conj().T @ c - np.eye(2))) <= 1e-12
 
-    def test_consistent_with_general_coin(self):
-        # the ratio parameterization is the general coin at the fixed phases
-        for r in np.linspace(0.0, 1.0, 41):
-            theta = math.acos(math.sqrt(float(r)))
-            general = coin_matrix(CoinParams(theta=theta))
-            assert np.max(np.abs(general - coin_from_ratio(float(r)))) <= 1e-12
+    def test_equals_the_explicit_rotation(self):
+        # r = cos^2(theta): the angle-ratio rule that quantize_schedule's plates follow
+        for theta in np.linspace(0.0, math.pi / 2, 41).tolist():
+            c, s = math.cos(theta), math.sin(theta)
+            rotation = np.array([[c, s], [s, -c]])
+            assert np.max(np.abs(coin_from_ratio(c * c) - rotation)) <= 1e-12
 
 
 class TestInitialState:
@@ -350,6 +319,28 @@ class TestCoinSchedule:
     def test_ratio_range_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             CoinSchedule(1, [1.5])
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 13, 64, 200])
+    def test_one_key_is_its_place_in_the_key_list(self, steps):
+        keys = schedule_keys(steps)
+        assert [_schedule_key(k) for k in range(len(keys))] == keys
+
+    def test_last_key_of_a_long_walk(self):
+        n = 10**6
+        assert _schedule_key(n * (n + 1) // 2 - 1) == (n, n - 1)
+
+    def test_a_bad_ratio_is_named_without_the_key_list(self):
+        # the list of n(n+1)/2 key tuples peaks near 49 MiB at n = 1024; the ratios are 4 MiB
+        values = np.full(1024 * 1025 // 2, 0.5)
+        values[-1] = 2.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\(1024, 1023\) is 2.0, outside"):
+                CoinSchedule(1024, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_repr_is_pinned(self):
         # the benchmark's digest of every quantize_schedule op hashes this text
