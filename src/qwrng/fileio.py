@@ -5,9 +5,11 @@ form one, and none of its targets is replaced until all of its files are
 written; a write on its own is a set of one.
 
 Sample streams move in chunks both ways, so memory does not grow with their
-length: the writers encode and write a :class:`sampling.ChunkedStream` as it
-is drawn, and :func:`iter_indices` reads every index file one block of whole
-lines at a time, parsing each block on its own.  Before the first chunk, a
+length: the writers draw and encode the chunks of a
+:class:`sampling.ChunkedStream` on ``_WORKERS`` threads and write them in
+order, with at most two chunks per worker drawn and not yet written, and
+:func:`iter_indices` reads every index file one block of whole lines at a
+time, parsing each block on its own.  Before the first chunk, a
 writer checks that the target's file system has room for the payload, so an
 impossible count fails at once instead of filling the disk.  Every target
 passes :func:`check_outputs`, the one guard on outputs, which each command
@@ -23,6 +25,7 @@ order, blank lines, ``−``) goes to the general reader, with its diagnostics.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import functools
@@ -356,23 +359,72 @@ def write_trace(iterations: Iterable[tuple[int, float, float]], path: str | Path
 # --- sample streams -------------------------------------------------------
 
 
+#: Threads that draw and encode a stream's chunks: one per usable CPU, at most
+#: four; with one, the calling thread draws them and no thread is started.
+_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4
+)
+
+
+def _encoded(
+    stream: sampling.ChunkedStream, encode: Callable[[np.ndarray], bytes | np.ndarray]
+) -> Iterator[bytes | np.ndarray]:
+    """``encode`` of each chunk of ``stream``, in order.  On ``_WORKERS``
+    threads the chunks are drawn and encoded ahead of the reader, at most
+    ``2 * _WORKERS`` of them drawn and not yet taken; closing the iterator
+    early, or an error in any chunk (``KeyboardInterrupt`` too), cancels the
+    chunks not yet started and joins every thread before it returns."""
+
+    if _WORKERS < 2:
+        yield from map(encode, stream.chunks())
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    def work(start: int) -> bytes | np.ndarray:
+        return encode(stream.chunk(start))
+
+    pool, pending = ThreadPoolExecutor(_WORKERS), collections.deque()
+    try:
+        for start in stream.starts():
+            if len(pending) == 2 * _WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, start))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+#: Index rows whose padding ``compress`` drops at once: it holds an 8-byte
+#: position for each byte it keeps, so a block's temporary stays small.
+_ROWS = 2**14
+
+
 def write_indices(stream: sampling.ChunkedStream, path: str | Path) -> None:
     """One decimal outcome index per line, at least two bytes each.
 
     Each outcome's row ``f"{i}\\n"`` is precomputed as NUL-padded fixed-width
-    bytes, 3-byte rows in 4-byte slots, which numpy gathers as whole words;
-    each chunk's rows are gathered by outcome and ``ndarray.compress`` drops
-    the padding.
+    bytes, 3-byte rows in 4-byte slots, which numpy gathers as whole words.
+    Each chunk's rows are gathered by outcome; when some row is shorter than
+    its slot, ``ndarray.compress`` drops the padding, ``_ROWS`` rows at a time.
     """
     lines = [f"{i}\n" for i in range(stream.n_outcomes)]
     longest = len(lines[-1])
     table = np.array(lines, dtype=f"S{4 if longest == 3 else longest}")
+    padded = len(lines[0]) < table.itemsize
 
-    def encode(outcomes: np.ndarray) -> np.ndarray:
+    def strip(outcomes: np.ndarray) -> np.ndarray:
         gathered = table.take(outcomes).view(np.uint8)
         return gathered.compress(gathered != 0)
 
-    _write(path, map(encode, stream.chunks()), at_least=2 * stream.count)
+    def encode(outcomes: np.ndarray) -> np.ndarray:
+        if not padded:
+            return table.take(outcomes).view(np.uint8)
+        blocks = range(0, outcomes.size, _ROWS)
+        return np.concatenate([strip(outcomes[i : i + _ROWS]) for i in blocks])
+
+    with contextlib.closing(_encoded(stream, encode)) as chunks:
+        _write(path, chunks, at_least=2 * stream.count)
 
 
 #: Bytes that :func:`iter_indices` reads per block, before the rest of its last line.
@@ -478,11 +530,10 @@ def write_bits(stream: sampling.ChunkedStream, path: str | Path) -> None:
     n, width = stream.n_outcomes, sampling.bit_width(stream.n_outcomes)
     meta = f"{path}.meta"
     check_outputs([path, meta])
-    # map, unlike a generator's loop variable, keeps no chunk alive while the next is drawn
-    payload = map(sampling.pack_fields, stream.chunks(), repeat(n)) if width else []
     n_bits = stream.count * width
-    with all_or_none():
-        _write(path, payload, at_least=-(-n_bits // 8))
+    payload = _encoded(stream, functools.partial(sampling.pack_fields, n_outcomes=n))
+    with all_or_none(), contextlib.closing(payload):
+        _write(path, payload if width else [], at_least=-(-n_bits // 8))
         _write(meta, f"count={stream.count} width={width} padding_bits={-n_bits % 8}\n")
 
 

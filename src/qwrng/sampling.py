@@ -18,6 +18,8 @@ byte per bit, are the public reference whose bytes it equals.
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -48,7 +50,9 @@ class SamplerState:
     """Inverse-CDF sampler over one distribution: its cumulative
     probabilities ``cdf``, one per outcome index, the generator ``rng`` and
     the guide table that :func:`draw` looks uniforms up in, built once here
-    because a chunked stream draws many times.
+    because a chunked stream draws many times.  ``split`` marks the buckets
+    that a cdf entry cuts, the only ones whose uniforms may lie past the
+    guide's first candidate.
 
     Mutable and single-owner: every :func:`draw` advances ``rng``.  Build
     independent samplers (distinct seeds) for concurrent use.
@@ -57,11 +61,15 @@ class SamplerState:
     cdf: np.ndarray
     rng: np.random.Generator = field(repr=False)
     guide: np.ndarray = field(init=False, repr=False)
+    split: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # bucket j covers [j/K, (j+1)/K); u*K and j/K are exact for a power-of-two K
         buckets = 1 << (self.cdf.size.bit_length() + _GUIDE_BITS)
-        self.guide = np.searchsorted(self.cdf, np.arange(buckets) / buckets, side="right")
+        edges = np.arange(buckets + 1) / buckets
+        self.guide = np.searchsorted(self.cdf, edges[:-1], side="right")
+        # cdf[guide[j]] > j/K, as cdf[-1] = 1 is; it cuts bucket j when below (j+1)/K
+        self.split = self.cdf[self.guide] < edges[1:]
 
 
 @dataclass
@@ -78,27 +86,56 @@ class SampleStream:
 
 @dataclass
 class ChunkedStream:
-    """``count`` outcomes of ``sampler``, drawn as they are read.
+    """``count`` outcomes of ``sampler``, drawn chunk by chunk as they are read.
 
-    Iterating :meth:`chunks` calls :func:`draw` once per chunk of at most
-    ``_CHUNK`` outcomes, so one chunk is resident at a time, and advances the
-    sampler exactly as ``draw(sampler, count)`` would, with equal outcomes.
+    :meth:`chunk` draws the ``_CHUNK`` outcomes (fewer at the end) from any
+    ``start`` on its own: each thread keeps a copy of the sampler, and
+    :func:`draw` runs on it with the generator set to the stream's first
+    state and advanced past the ``start`` outcomes before, so chunks may be
+    drawn in any order and on several threads at once.  The chunks at the
+    offsets of :meth:`starts` equal one ``draw(sampler, count)``, and once
+    those offsets are exhausted the sampler itself is advanced by ``count``,
+    where that draw leaves it.  A reader holds only the chunks it has drawn
+    but not yet used: :meth:`chunks` one, the file writers at most two per
+    worker thread.
     """
 
     sampler: SamplerState
     count: int
+    #: The generator's state when the stream was made, which every chunk starts from.
+    _origin: dict = field(init=False, repr=False)
+    #: Each thread's copy of the sampler, whose generator every chunk sets anew.
+    _copies: threading.local = field(
+        init=False, repr=False, compare=False, default_factory=threading.local
+    )
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
+        self._origin = self.sampler.rng.bit_generator.state
 
     @property
     def n_outcomes(self) -> int:
         return int(self.sampler.cdf.size)
 
+    def starts(self) -> Iterator[int]:
+        """The offset of each chunk; past the last, the sampler moves on by ``count``."""
+        yield from range(0, self.count, _CHUNK)
+        self.sampler.rng.bit_generator.advance(self.count)
+
+    def chunk(self, start: int) -> np.ndarray:
+        """Outcomes ``start`` to ``start + _CHUNK`` of the stream; each takes one
+        64-bit output of the PCG64 generator."""
+        if (sampler := getattr(self._copies, "sampler", None)) is None:
+            sampler = self._copies.sampler = copy.copy(self.sampler)
+            sampler.rng = np.random.Generator(np.random.PCG64(0))
+        bits = sampler.rng.bit_generator
+        bits.state = self._origin
+        bits.advance(start)
+        return draw(sampler, min(_CHUNK, self.count - start)).outcomes
+
     def chunks(self) -> Iterator[np.ndarray]:
-        for start in range(0, self.count, _CHUNK):
-            yield draw(self.sampler, min(_CHUNK, self.count - start)).outcomes
+        return map(self.chunk, self.starts())
 
 
 def build_sampler(dist: Distribution, seed: int) -> SamplerState:
@@ -119,18 +156,20 @@ def draw(sampler: SamplerState, count: int) -> SampleStream:
     """Draw ``count`` outcome indices, advancing the sampler state."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    cdf, guide = sampler.cdf, sampler.guide
+    cdf, guide, split = sampler.cdf, sampler.guide, sampler.split
     outcomes = np.empty(count, dtype=np.int64)
     u = np.empty(min(count, _CHUNK))
     for start in range(0, count, _CHUNK):
         idx = outcomes[start : start + _CHUNK]
         uc = u[: idx.size]
         sampler.rng.random(out=uc)
-        np.take(guide, (uc * guide.size).astype(np.intp), out=idx, mode="clip")
+        np.multiply(uc, guide.size, out=idx, casting="unsafe")  # each uniform's bucket
+        move = split.take(idx, mode="clip").nonzero()[0]
+        guide.take(idx, out=idx, mode="clip")  # in place: take reads index i before writing slot i
         # guide[j] counts the cdf entries <= j/K <= u; step over the entries
-        # of the bucket that are <= u too.  idx never passes the answer, which
-        # is below cdf.size because cdf[-1] = 1 > u, so cdf[idx] is in range.
-        move = np.flatnonzero(cdf[idx] <= uc)
+        # of a split bucket that are <= u too.  idx never passes the answer,
+        # which is below cdf.size because cdf[-1] = 1 > u, so cdf[idx] is in range.
+        move = move[cdf[idx[move]] <= uc[move]]
         while move.size:
             idx[move] += 1
             move = move[cdf[idx[move]] <= uc[move]]
@@ -200,12 +239,14 @@ def pack_fields(stream: np.ndarray, n_outcomes: int) -> bytes:
 
     Each group of 8 outcomes becomes ``w = bit_width(n_outcomes)`` bytes.
     Neighbouring fields are merged pairwise, the earlier one above, while
-    two fit one unsigned lane of 16, 32 or 64 bits; the fields left in a
-    group are then shifted into its ``ceil(w / 8)`` uint64 words, a field
-    that straddles two words by a right shift into the first and a left
-    shift into the second.  A short final group is zero-padded, and the
-    output ends at ``ceil(count * w / 8)`` bytes.  One-bit fields are the
-    outcomes themselves, which ``np.packbits`` packs directly.
+    two fit one unsigned lane of 16, 32 or 64 bits.  At ``w <= 8`` a lane
+    then holds a whole group, whose bytes are its last ``w`` big-endian
+    ones; otherwise the fields left in a group are shifted into its
+    ``ceil(w / 8)`` uint64 words, a field that straddles two words by a
+    right shift into the first and a left shift into the second.  A short
+    final group is zero-padded, and the output ends at
+    ``ceil(count * w / 8)`` bytes.  One-bit fields are the outcomes
+    themselves, which ``np.packbits`` packs directly.
     """
     outcomes = np.asarray(stream, dtype=np.int64)
     check_outcomes(outcomes, n_outcomes)
@@ -220,18 +261,22 @@ def pack_fields(stream: np.ndarray, n_outcomes: int) -> bytes:
         lane, pairs = 8 * lanes.itemsize, lanes.view(wide)
         merged = (pairs & wide.type((1 << lane) - 1)) << wide.type(bits) | pairs >> wide.type(lane)
         lanes, bits, per_group = merged.astype(wide, copy=False), 2 * bits, per_group // 2
-    fields = lanes.reshape(-1, per_group)
-    words = np.zeros((len(fields), -(-width // 8)), dtype=np.uint64)
-    for i in range(per_group):
-        word, offset = divmod(i * bits, 64)
-        spill = offset + bits - 64  # bits of field i past the end of its first word
-        if spill > 0:
-            words[:, word] |= fields[:, i] >> np.uint64(spill)
-            words[:, word + 1] |= fields[:, i] << np.uint64(64 - spill)
-        else:
-            words[:, word] |= fields[:, i] << np.uint64(-spill)
+    if per_group == 1:
+        packed = lanes.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :]
+    else:
+        fields = lanes.reshape(-1, per_group)
+        words = np.zeros((len(fields), -(-width // 8)), dtype=np.uint64)
+        for i in range(per_group):
+            word, offset = divmod(i * bits, 64)
+            spill = offset + bits - 64  # bits of field i past the end of its first word
+            if spill > 0:
+                words[:, word] |= fields[:, i] >> np.uint64(spill)
+                words[:, word + 1] |= fields[:, i] << np.uint64(64 - spill)
+            else:
+                words[:, word] |= fields[:, i] << np.uint64(-spill)
+        packed = words.astype(">u8").view(np.uint8)[:, :width]
     # the same bytes as the uint8 slice's, but tobytes copies a void record at a time
-    packed = words.astype(">u8").view(np.uint8)[:, :width].view(f"V{width}")
+    packed = packed.view(f"V{width}")
     return packed.tobytes()[: -(-count * width // 8)]
 
 

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -367,8 +368,10 @@ class TestSample:
         out = tmp_path / "s.out"
         args = ["sample", "--schedule", str(workspace["schedule"]), "--count", str(3 * _CHUNK + 5)]
         args += ["--format", fmt, "--out", str(out)]
+        monkeypatch.setattr(qwrng.fileio, "_WORKERS", 3)  # a draw fails on a worker thread
         assert main(args + ["--seed", "1"]) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        threads = threading.active_count()
 
         def refuse(src, dst):
             raise OSError("no space left on device")
@@ -396,8 +399,48 @@ class TestSample:
             err = capsys.readouterr().err
             assert code == 1
             assert err.startswith("error:") and err.count("\n") == 1
-            # the old file and sidecar are untouched, and no temporary is left
+            # the old file and sidecar are untouched, no temporary is left and no worker
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("fmt", ["indices", "bits"])
+    def test_every_worker_is_joined_when_the_command_ends(
+        self, workspace, tmp_path, monkeypatch, fmt
+    ):
+        monkeypatch.setattr(qwrng.fileio, "_WORKERS", 4)
+        threads = threading.active_count()
+        argv = ["sample", "--schedule", str(workspace["schedule"]), "--count", str(9 * _CHUNK)]
+        assert main(argv + ["--seed", "1", "--format", fmt, "--out", str(tmp_path / "s")]) == 0
+        assert threading.active_count() == threads
+
+
+#: `sample` in a process pinned to one CPU: it draws in the calling thread.
+ONE_CPU_SAMPLE = """
+import os, sys, threading
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: started.append(thread) or start(thread)
+import qwrng.cli
+
+argv = ["sample", "--schedule", sys.argv[1], "--count", "300000", "--seed", "3", "--out"]
+assert qwrng.cli.main(argv + [sys.argv[2] + ".txt"]) == 0
+assert qwrng.cli.main(argv + [sys.argv[2] + ".bits", "--format", "bits"]) == 0
+assert not started and "concurrent.futures" not in sys.modules, started
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_cpu_starts_no_thread(workspace, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_SAMPLE, str(workspace["schedule"]), str(tmp_path / "s")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for fmt, suffix in [("indices", ".txt"), ("bits", ".bits")]:
+        argv = ["sample", "--schedule", str(workspace["schedule"]), "--count", "300000"]
+        assert main(argv + ["--seed", "3", "--format", fmt, "--out", str(tmp_path / f"t{suffix}")]) == 0
+        assert (tmp_path / f"s{suffix}").read_bytes() == (tmp_path / f"t{suffix}").read_bytes()
 
 
 @pytest.fixture(scope="module")

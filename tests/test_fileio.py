@@ -1,11 +1,13 @@
 import errno
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qwrng import CoinSchedule, Distribution, build_sampler, draw, fileio, uniform_target
+from qwrng import CoinSchedule, Distribution, build_sampler, draw, fileio, sampling, uniform_target
 from qwrng.fileio import (
     distribution_to_text,
     format_float,
@@ -22,7 +24,7 @@ from qwrng.fileio import (
     write_indices,
     write_schedule,
 )
-from qwrng.sampling import ChunkedStream
+from qwrng.sampling import _CHUNK, ChunkedStream
 from qwrng.walk import schedule_keys
 
 from util import random_schedule
@@ -254,6 +256,87 @@ class TestSampleFiles:
         path.write_bytes(b"\0")
         with pytest.raises(ValueError, match="^sidecar promises 10 outcomes"):
             read_bits(path)
+
+
+#: A 17-outcome source with uneven weights: 5-bit fields, 2- and 3-byte index rows.
+SKEWED = Distribution(16, np.random.default_rng(5).dirichlet(np.ones(17)))
+WRITERS = {"indices": write_indices, "bits": write_bits}
+
+
+def _file_bytes(outcomes, n_outcomes, fmt):
+    """The payload that one whole-stream encoding of ``outcomes`` gives."""
+    if fmt == "indices":
+        return "".join(f"{i}\n" for i in outcomes.tolist()).encode()
+    return sampling.pack_bits(sampling.encode_bits(outcomes, n_outcomes))[0]
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads hand over the interpreter lock far more often than by default."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestStreamWorkers:
+    """The writers draw and encode chunks on ``fileio._WORKERS`` threads, up to
+    more threads than most hosts have CPUs; the file, and where the sampler
+    ends, must not depend on how many."""
+
+    @pytest.mark.parametrize("fmt", sorted(WRITERS))
+    @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5 * _CHUNK + 3])
+    def test_files_and_sampler_state_match_one_draw_at_any_worker_count(
+        self, tmp_path, monkeypatch, fmt, count
+    ):
+        whole = build_sampler(SKEWED, 11)
+        expected = _file_bytes(draw(whole, count).outcomes, 17, fmt)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fileio, "_WORKERS", workers)
+            sampler, path = build_sampler(SKEWED, 11), tmp_path / f"w{workers}"
+            WRITERS[fmt](ChunkedStream(sampler, count), path)
+            assert path.read_bytes() == expected, workers
+            assert sampler.rng.bit_generator.state == whole.rng.bit_generator.state, workers
+
+    @pytest.mark.parametrize("fmt", sorted(WRITERS))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_two_chunks_per_worker_are_drawn_and_not_written(
+        self, tmp_path, monkeypatch, fmt, workers
+    ):
+        lock, drawn, written, ahead = threading.Lock(), [0], [0], []
+        real_draw = sampling.draw
+
+        def counted_draw(sampler, count):
+            stream = real_draw(sampler, count)
+            with lock:
+                drawn[0] += 1
+                ahead.append(drawn[0] - written[0])
+            return stream
+
+        def consume(path, data, at_least=0):
+            for _ in [] if isinstance(data, str) else data:  # the sidecar is text
+                with lock:
+                    written[0] += 1
+
+        monkeypatch.setattr(sampling, "draw", counted_draw)
+        monkeypatch.setattr(fileio, "_write", consume)
+        monkeypatch.setattr(fileio, "_WORKERS", workers)
+        WRITERS[fmt](ChunkedStream(build_sampler(SKEWED, 3), 20 * _CHUNK), tmp_path / "s")
+        assert drawn == written == [20]
+        assert max(ahead) <= 2 * workers
+
+    @pytest.mark.parametrize("n_outcomes", [1, 2, 10, 11, 17])
+    def test_index_rows_with_and_without_padding(self, tmp_path, n_outcomes):
+        # up to 10 outcomes every row is "d\n" and nothing is stripped; from 11, "d\n" is padded
+        source = Distribution(n_outcomes - 1, np.full(n_outcomes, 1 / n_outcomes))
+        count = 3 * fileio._ROWS + 5  # a short last block of rows
+        write_indices(ChunkedStream(build_sampler(source, 2), count), tmp_path / "s.txt")
+        outcomes = draw(build_sampler(source, 2), count).outcomes
+        assert set(outcomes.tolist()) == set(range(n_outcomes))
+        assert (tmp_path / "s.txt").read_bytes() == _file_bytes(outcomes, n_outcomes, "indices")
 
 
 class TestArtifactSets:

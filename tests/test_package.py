@@ -151,6 +151,13 @@ def test_only_analyze_imports_scipy(tmp_path):
     assert hashlib.sha256(report).hexdigest() == CLI_DIGESTS["analyze"]
 
 
+def test_importing_the_package_loads_no_thread_pool():
+    # the sample writers import concurrent.futures when they start workers, so set-up does not pay for it
+    check = "import sys, qwrng, qwrng.cli; assert 'concurrent.futures' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _callee(node: ast.AST) -> str | None:
     if isinstance(node, ast.Call):
         return getattr(node.func, "id", getattr(node.func, "attr", None))

@@ -20,7 +20,7 @@ from qwrng import (
     uniform_target,
     unpack_bits,
 )
-from qwrng.sampling import _CHUNK, bit_width
+from qwrng.sampling import _CHUNK, ChunkedStream, bit_width
 
 #: chi-square upper critical value at the 1% level for four degrees of freedom
 CHI2_CRIT_DOF4_1PCT = 13.276704135987622
@@ -153,6 +153,38 @@ class TestGuideTableLookup:
         first, rest = draw(sampler, count).outcomes, draw(sampler, 5).outcomes
         assert first.dtype == np.int64 and first.size == count
         assert np.array_equal(np.concatenate([first, rest]), np.searchsorted(sampler.cdf, u, side="right"))
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_SOURCES))
+    def test_split_marks_the_buckets_a_cdf_entry_cuts(self, name):
+        sampler = build_sampler(LOOKUP_SOURCES[name], 0)
+        buckets = sampler.guide.size
+        below, above = np.arange(buckets) / buckets, np.arange(1, buckets + 1) / buckets
+        cut = [bool(np.any((sampler.cdf > lo) & (sampler.cdf < hi))) for lo, hi in zip(below, above)]
+        assert sampler.split.tolist() == cut
+
+
+class TestChunkedStream:
+    def test_a_chunk_is_its_slice_of_one_draw_in_any_order(self):
+        source, count = LOOKUP_SOURCES["skewed"], 3 * _CHUNK + 5
+        whole = draw(build_sampler(source, 3), count).outcomes
+        sampler = build_sampler(source, 3)
+        state = sampler.rng.bit_generator.state
+        stream = ChunkedStream(sampler, count)
+        for start in [3 * _CHUNK, _CHUNK, 0, 2 * _CHUNK, _CHUNK]:
+            assert np.array_equal(stream.chunk(start), whole[start : start + _CHUNK])
+        # a chunk is drawn from a copy: only reading every offset moves the sampler on
+        assert sampler.rng.bit_generator.state == state
+        assert list(stream.starts()) == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
+        moved_on = build_sampler(source, 3).rng.bit_generator.advance(count)
+        assert sampler.rng.bit_generator.state == moved_on.state
+
+    def test_chunks_equal_one_draw_and_leave_the_sampler_where_it_leaves_it(self):
+        source, count = LOOKUP_SOURCES["hadamard-64"], _CHUNK + 7
+        whole = build_sampler(source, 9)
+        expected = draw(whole, count).outcomes
+        sampler = build_sampler(source, 9)
+        assert np.array_equal(np.concatenate(list(ChunkedStream(sampler, count).chunks())), expected)
+        assert sampler.rng.bit_generator.state == whole.rng.bit_generator.state
 
 
 # --- an independent reference for the stream: PCG64 and its seeding in pure Python ---
